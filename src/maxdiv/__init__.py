@@ -6,146 +6,25 @@ log-compounded 1/(1+beta*log(1+psi))), the geometric-max operators
 connecting them, extremal and subordinated processes sharing the same
 marginal algebra, a stationary max-autoregression, and a registry of
 numerical checks confirming every identity at desk scale.
+
+The public names are those of each layer's __all__.
 """
 
-from .algebra import (
-    CdfExpr,
-    GeoP,
-    expr_from_law,
-    geo_max_cdf,
-    geo_max_sample,
-    iterate_transform,
-    limit_geo_gamma_cdf,
-    n_max_cdf,
-    scale_exponent,
-    semi_stable_scale,
-)
-from .ar1 import (
-    Ar1Spec,
-    ar1_ensemble,
-    ar1_simulate,
-    ar1_step,
-    innovation_cdf_from_marginal,
-    stationary_innovation_shape,
-)
-from .exponents import Exponent, Family, Support, frechet, gumbel, weibull
-from .extremal import (
-    ExtremalSpec,
-    PathGrid,
-    SubKind,
-    SubordinatorSpec,
-    compound_marginal_cdf,
-    compound_simulate,
-    ep_marginal_cdf,
-    ep_marginal_quantile,
-    ep_max_increment_sample,
-    ep_simulate_ensemble,
-    ep_simulate_path,
-    subordinator_marginal,
-    subordinator_path,
-)
-from .ksstats import (
-    KS_COEFFICIENTS,
-    KSReport,
-    cdf_validity_gap,
-    critical_one_sample,
-    critical_two_sample,
-    ecdf,
-    ks_one_sample,
-    ks_two_sample,
-    quantile_grid,
-    sup_norm_grid,
-)
-from .laws import (
-    LawKind,
-    MaxLaw,
-    base_law,
-    g_mid,
-    gamma_mid,
-    ggamma_mid,
-    law_from_dict,
-    law_to_dict,
-    lt_ggamma,
-    quantile_neg_log,
-    sample_gamma,
-    sample_ggamma,
-)
-from .rng import RandomSource, uniform_open
-from .verify import (
-    CHECK_IDS,
-    VerificationReport,
-    format_report,
-    report_to_dict,
-    verify,
-    verify_all,
-)
+from . import algebra, ar1, exponents, extremal, ksstats, laws, rng
+from . import verify as _verify  # the name verify is the function below
+from .algebra import *  # noqa: F401,F403
+from .ar1 import *  # noqa: F401,F403
+from .exponents import *  # noqa: F401,F403
+from .extremal import *  # noqa: F401,F403
+from .ksstats import *  # noqa: F401,F403
+from .laws import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ar1Spec",
-    "CHECK_IDS",
-    "CdfExpr",
-    "Exponent",
-    "ExtremalSpec",
-    "Family",
-    "GeoP",
-    "KSReport",
-    "KS_COEFFICIENTS",
-    "LawKind",
-    "MaxLaw",
-    "PathGrid",
-    "RandomSource",
-    "SubKind",
-    "SubordinatorSpec",
-    "Support",
-    "VerificationReport",
-    "ar1_ensemble",
-    "ar1_simulate",
-    "ar1_step",
-    "base_law",
-    "cdf_validity_gap",
-    "compound_marginal_cdf",
-    "compound_simulate",
-    "critical_one_sample",
-    "critical_two_sample",
-    "ecdf",
-    "ep_marginal_cdf",
-    "ep_marginal_quantile",
-    "ep_max_increment_sample",
-    "ep_simulate_ensemble",
-    "ep_simulate_path",
-    "expr_from_law",
-    "format_report",
-    "frechet",
-    "g_mid",
-    "gamma_mid",
-    "geo_max_cdf",
-    "geo_max_sample",
-    "ggamma_mid",
-    "gumbel",
-    "innovation_cdf_from_marginal",
-    "iterate_transform",
-    "ks_one_sample",
-    "ks_two_sample",
-    "law_from_dict",
-    "law_to_dict",
-    "limit_geo_gamma_cdf",
-    "lt_ggamma",
-    "n_max_cdf",
-    "quantile_grid",
-    "quantile_neg_log",
-    "report_to_dict",
-    "sample_gamma",
-    "sample_ggamma",
-    "scale_exponent",
-    "semi_stable_scale",
-    "stationary_innovation_shape",
-    "subordinator_marginal",
-    "subordinator_path",
-    "sup_norm_grid",
-    "uniform_open",
-    "verify",
-    "verify_all",
-    "weibull",
-]
+__all__ = sorted(
+    name
+    for layer in (algebra, ar1, exponents, extremal, ksstats, laws, rng, _verify)
+    for name in layer.__all__
+)

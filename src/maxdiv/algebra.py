@@ -18,12 +18,11 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import positive_finite, probability, sample_size
 from .exponents import Exponent, Family, _as_array, _unwrap
-from .laws import LawKind, MaxLaw
-from .rng import uniform_open
+from .laws import _KINDS, MaxLaw
 
 __all__ = [
-    "GeoP",
     "CdfExpr",
     "expr_from_law",
     "geo_max_cdf",
@@ -34,25 +33,6 @@ __all__ = [
     "n_max_cdf",
     "limit_geo_gamma_cdf",
 ]
-
-
-@dataclass(frozen=True)
-class GeoP:
-    """Success probability of a geometric count on {1, 2, ...}."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"geometric parameter must lie in (0, 1], got {self.p}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.p
-
-
-def _as_p(p) -> float:
-    return p.p if isinstance(p, GeoP) else GeoP(float(p)).p
 
 
 @dataclass(frozen=True)
@@ -83,13 +63,12 @@ class CdfExpr:
 
 
 def expr_from_law(law: MaxLaw) -> CdfExpr:
-    scale = 1.0 if law.kind is LawKind.GMID else None
     tag = f"{law.kind.value}({law.exponent.family.value},alpha={law.exponent.alpha:g},beta={law.beta:g})"
     return CdfExpr(
         tag=tag,
         neg_log=law.neg_log_cdf,
         cdf_fn=law.cdf,
-        gmid_scale=scale,
+        gmid_scale=_KINDS[law.kind].gmid_scale,
         exponent=law.exponent,
     )
 
@@ -107,7 +86,7 @@ def geo_max_cdf(h, p, x):
     rational form is evaluated literally; results are clipped to [0, 1]
     to absorb one-ulp overshoot at H = 1.
     """
-    p = _as_p(p)
+    p = probability(float(p), "geometric parameter", allow_one=True)
     hv, scalar = _as_array(_cdf_values(h, x))
     out = np.clip(p * hv / (1.0 - (1.0 - p) * hv), 0.0, 1.0)
     return _unwrap(out, scalar)
@@ -115,10 +94,8 @@ def geo_max_cdf(h, p, x):
 
 def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = None):
     """Draw max(X_1..X_N) with N ~ geometric(p) and X_i i.i.d. from law."""
-    p = _as_p(p)
-    n = 1 if size is None else size
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {size}")
+    p = probability(float(p), "geometric parameter", allow_one=True)
+    n = sample_size(1 if size is None else size)
     counts = rng.geometric(p, n)
     draws = law.sample_inverse(rng, int(counts.sum()))
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -135,8 +112,7 @@ def scale_exponent(h: CdfExpr, a: float) -> CdfExpr:
     """
     if h.gmid_scale is None or h.exponent is None:
         raise ValueError("scale_exponent needs an expression of the form 1/(1 + a*psi)")
-    if not (np.isfinite(a) and a > 0):
-        raise ValueError(f"scale factor must be a finite positive number, got {a}")
+    positive_finite(a, "scale factor")
     scale = a * h.gmid_scale
     exponent = h.exponent
 
@@ -162,7 +138,7 @@ def semi_stable_scale(p, exponent: Exponent) -> float:
     Only power exponents admit such a b; the exponential family shifts
     location instead of scale and is rejected.
     """
-    p = _as_p(p)
+    p = probability(float(p), "geometric parameter", allow_one=True)
     if exponent.family is Family.FRECHET:
         return p ** (1.0 / exponent.alpha)
     if exponent.family is Family.WEIBULL:
@@ -207,8 +183,7 @@ def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):
     F_n is a d.f. for every n >= 1 and converges pointwise, as n grows,
     to 1/(1 + beta*log(1+psi(x))).
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be a finite positive number, got {beta}")
+    positive_finite(beta, "beta")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     s, scalar = _as_array(exponent.eval(x))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import positive_finite, probability, sample_size
 from .exponents import Exponent, _as_array, _unwrap
-from .laws import MaxLaw, _quantile_w, ggamma_mid
-from .rng import uniform_open
+from .laws import MaxLaw, _sample_max, ggamma_mid
 
 __all__ = [
     "Ar1Spec",
@@ -44,10 +44,8 @@ class Ar1Spec:
     exponent: Exponent
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie strictly inside (0, 1), got {self.p}")
-        if not (np.isfinite(self.marginal_beta) and self.marginal_beta > 0):
-            raise ValueError(f"marginal_beta must be positive, got {self.marginal_beta}")
+        probability(self.p)
+        positive_finite(self.marginal_beta, "marginal_beta")
 
     @property
     def innovation_beta(self) -> float:
@@ -62,17 +60,12 @@ class Ar1Spec:
 
 def stationary_innovation_shape(p: float, marginal_beta: float) -> float:
     """Innovation shape that makes the chain stationary at marginal_beta."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if not (np.isfinite(marginal_beta) and marginal_beta > 0):
-        raise ValueError(f"marginal_beta must be positive, got {marginal_beta}")
-    return p * marginal_beta
+    return probability(p) * positive_finite(marginal_beta, "marginal_beta")
 
 
 def innovation_cdf_from_marginal(marginal_value, p: float):
     """Solve F = p*F_eps + (1-p)*F*F_eps for F_eps given F(x) values."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    probability(p)
     f, scalar = _as_array(marginal_value)
     if np.any(f < 0.0) or np.any(f > 1.0) or np.any(np.isnan(f)):
         raise ValueError("marginal d.f. values must lie in [0, 1]")
@@ -83,6 +76,8 @@ def ar1_step(x_prev: float, innovation: float, u: float, p: float) -> float:
     """One transition; u is the branch uniform (u < p means reset)."""
     if not (0.0 <= u < 1.0):
         raise ValueError(f"branch uniform must lie in [0, 1), got {u}")
+    # checked inline, not through _checks: ar1_simulate calls this once
+    # per step, and a helper call there costs about a fifth of its time
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     if u < p:
@@ -92,8 +87,7 @@ def ar1_step(x_prev: float, innovation: float, u: float, p: float) -> float:
 
 def _innovations(spec: Ar1Spec, rng: np.random.Generator, n: int, beta_override: float | None) -> np.ndarray:
     beta = spec.innovation_beta if beta_override is None else float(beta_override)
-    law = ggamma_mid(beta, spec.exponent)
-    return _quantile_w(law, -np.log(uniform_open(rng, n)))
+    return _sample_max(ggamma_mid(beta, spec.exponent), rng, n)
 
 
 def ar1_simulate(
@@ -109,11 +103,10 @@ def ar1_simulate(
     X_0.  Branch uniforms for the whole chain are drawn first, then the
     innovations, so equal-seed runs reproduce byte for byte.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    sample_size(n_steps, "n_steps")
     u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
     if init is None:
-        x0 = float(_quantile_w(spec.marginal_law(), -np.log(uniform_open(rng))))
+        x0 = float(_sample_max(spec.marginal_law(), rng, None))
     else:
         x0 = float(init)
     eps = _innovations(spec, rng, n_steps - 1, innovation_beta) if n_steps > 1 else np.empty(0)
@@ -135,10 +128,9 @@ def ar1_ensemble(
     """X_lag across n_chains independent chains, advanced in lockstep."""
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+    sample_size(n_chains, "n_chains")
     if init is None:
-        x = _quantile_w(spec.marginal_law(), -np.log(uniform_open(rng, n_chains)))
+        x = _sample_max(spec.marginal_law(), rng, n_chains)
     else:
         x = np.full(n_chains, float(init))
     for _ in range(lag):

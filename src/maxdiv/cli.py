@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .ar1 import Ar1Spec, ar1_ensemble, ar1_simulate
-from .exponents import Exponent
+from .exponents import Exponent, Family
 from .extremal import (
     ExtremalSpec,
     SubordinatorSpec,
@@ -25,15 +25,15 @@ from .extremal import (
     ep_simulate_path,
 )
 from .ksstats import ks_one_sample
-from .laws import MaxLaw, ggamma_mid
+from .laws import LawKind, MaxLaw, ggamma_mid
 from .rng import RandomSource
 from .verify import CHECK_IDS, format_report, report_to_dict
 from .verify import verify as run_check
 
 __all__ = ["main"]
 
-_KINDS = ("base", "g-mid", "gamma-mid", "ggamma-mid")
-_FAMILIES = ("frechet", "weibull", "gumbel")
+_KINDS = tuple(kind.value for kind in LawKind)
+_FAMILIES = tuple(family.value for family in Family)
 
 AR1_CHECK_CHAINS = 100_000
 AR1_CHECK_LAG = 100

@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import positive_finite
+
 __all__ = ["Family", "Exponent", "Support", "frechet", "weibull", "gumbel"]
 
 
@@ -57,8 +59,7 @@ class Exponent:
             object.__setattr__(self, "family", Family(self.family))
         if self.family is Family.GUMBEL:
             object.__setattr__(self, "alpha", 1.0)
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite positive number, got {self.alpha}")
+        positive_finite(self.alpha, "alpha")
 
     def eval(self, x):
         """psi(x); nonincreasing, with value +inf below a frechet support."""
@@ -102,7 +103,8 @@ class Exponent:
     def _min_inside(self) -> float:
         # smallest representable x at which psi is still finite; quantile
         # transforms park otherwise-unrepresentable lower-tail values here
-        x = float(self._inverse_raw(np.asarray(np.finfo(float).max)))
+        with np.errstate(over="ignore"):
+            x = float(self._inverse_raw(np.asarray(np.finfo(float).max)))
         while not np.isfinite(self.eval(x)):
             x = np.nextafter(x, np.inf)
         return x

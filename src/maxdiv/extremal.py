@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import open_unit, positive_finite, sample_size
 from .exponents import _as_array, _unwrap
-from .laws import MaxLaw, _quantile_w, sample_ggamma
-from .rng import uniform_open
+from .laws import MaxLaw, _quantile_w, _sample_max, sample_ggamma
 
 __all__ = [
     "SubKind",
@@ -54,8 +54,7 @@ class SubordinatorSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SubKind):
             object.__setattr__(self, "kind", SubKind(self.kind))
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be a finite positive number, got {self.beta}")
+        positive_finite(self.beta, "beta")
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,11 @@ class PathGrid:
         object.__setattr__(self, "values", values)
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"time must be a finite positive number, got {t}")
+def _check_time(t: float, sub: SubordinatorSpec | None = None) -> float:
+    """A finite positive time, at which sub (when given) is defined."""
+    t = positive_finite(float(t), "time")
+    if sub is not None and sub.kind is SubKind.GGAMMA_UNIT and t != 1.0:
+        raise ValueError("the ggamma subordinator is defined at t = 1 only")
     return t
 
 
@@ -114,9 +114,7 @@ def ep_marginal_quantile(spec: ExtremalSpec, t: float, u):
     """
     t = _check_time(t)
     us, scalar = _as_array(u)
-    if np.any(~np.isfinite(us)) or np.any(us <= 0.0) or np.any(us >= 1.0):
-        raise ValueError("quantile requires u strictly inside (0, 1)")
-    return _unwrap(_quantile_w(spec.base, -np.log(us) / t), scalar)
+    return _unwrap(_quantile_w(spec.base, -np.log(open_unit(us)), t), scalar)
 
 
 def ep_max_increment_sample(spec: ExtremalSpec, dt: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -126,16 +124,13 @@ def ep_max_increment_sample(spec: ExtremalSpec, dt: float, rng: np.random.Genera
     the path simulator composes these draws with running maxima.
     """
     dt = _check_time(dt)
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    return _quantile_w(spec.base, -np.log(uniform_open(rng, n)) / dt)
+    return _sample_max(spec.base, rng, sample_size(n), dt)
 
 
 def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent paths on a shared grid; shape (n, len(times))."""
     times = _check_times(times)
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    sample_size(n)
     out = np.empty((n, times.size))
     out[:, 0] = ep_max_increment_sample(spec, times[0], rng, n)
     for j in range(1, times.size):
@@ -156,15 +151,11 @@ def subordinator_marginal(sub: SubordinatorSpec, t: float, rng: np.random.Genera
     are returned as-is; consumers map them to the bottom of the target
     support, mirroring quantile handling of unrepresentable extremes.
     """
-    t = _check_time(t)
-    n = 1 if size is None else size
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {size}")
+    t = _check_time(t, sub)
+    n = sample_size(1 if size is None else size)
     if sub.kind is SubKind.GAMMA:
         out = np.atleast_1d(rng.gamma(t, 1.0, n))
     else:
-        if t != 1.0:
-            raise ValueError("the ggamma subordinator is defined at t = 1 only")
         out = np.atleast_1d(sample_ggamma(sub.beta, rng, n))
     return float(out[0]) if size is None else out
 
@@ -178,32 +169,25 @@ def subordinator_path(sub: SubordinatorSpec, times, rng: np.random.Generator) ->
     """
     times = _check_times(times)
     if sub.kind is SubKind.GGAMMA_UNIT:
-        if times.size != 1 or times[0] != 1.0:
+        if times.size != 1:
             raise ValueError("the ggamma subordinator only supports the one-point grid [1.0]")
-        return PathGrid(times, np.atleast_1d(sample_ggamma(sub.beta, rng, 1)))
+        return PathGrid(times, subordinator_marginal(sub, times[0], rng, 1))
     increments = rng.gamma(np.diff(np.concatenate(([0.0], times))), 1.0)
     return PathGrid(times, np.cumsum(increments))
 
 
 def compound_marginal_cdf(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, x):
     """P{Y(T(t)) <= x} = phi(-log F(x))**t for the subordinator's LT phi."""
-    t = _check_time(t)
+    t = _check_time(t, sub)
     v, scalar = _as_array(spec.base.neg_log_cdf(x))
     if sub.kind is SubKind.GAMMA:
         out = np.exp(-t * np.log1p(v))
     else:
-        if t != 1.0:
-            raise ValueError("the ggamma subordinator is defined at t = 1 only")
         out = 1.0 / (1.0 + sub.beta * np.log1p(v))
     return _unwrap(out, scalar)
 
 
 def compound_simulate(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draws of Y(T(t)): a random time first, then the marginal at it."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    times = subordinator_marginal(sub, t, rng, n)
-    w = -np.log(uniform_open(rng, n))
-    with np.errstate(over="ignore", divide="ignore"):
-        arg = w / times
-    return _quantile_w(spec.base, arg)
+    sample_size(n)
+    return _sample_max(spec.base, rng, n, subordinator_marginal(sub, t, rng, n))

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import sample_size
 from .exponents import _as_array, _unwrap
 from .laws import MaxLaw
 
@@ -55,8 +56,7 @@ def ecdf(samples, x):
 
 
 def critical_one_sample(n: int, alpha: float = 0.01) -> float:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    sample_size(n, "n")
     return float(_coefficient(alpha) / np.sqrt(n))
 
 

@@ -19,15 +19,23 @@ latent-time route X = inverse(psi, -log(U)/T) where T follows the
 kind's mixing law (exp(1) for g-mid, gamma(beta) for gamma-mid, the
 log-compounded gamma for ggamma-mid).  Both produce the same law; the
 test-suite cross-checks them by two-sample KS.
+
+Everything that depends on the kind lives in one record per kind in
+_KINDS: -log F and F as functions of s, the inverse map from
+w = -log F back to s, and the latent mixing sampler.  MaxLaw and the
+samplers only look records up, so adding a kind means adding one
+record, one LawKind member and a constructor, plus tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
+from ._checks import open_unit, positive_finite, sample_size
 from .exponents import Exponent, Family, _as_array, _unwrap
 from .rng import uniform_open
 
@@ -39,7 +47,6 @@ __all__ = [
     "gamma_mid",
     "ggamma_mid",
     "quantile_neg_log",
-    "sample_gamma",
     "sample_ggamma",
     "lt_ggamma",
     "law_to_dict",
@@ -55,6 +62,51 @@ class LawKind(str, Enum):
 
 
 @dataclass(frozen=True)
+class _Kind:
+    """What a law kind is, as functions of s = psi(x) and the shape b."""
+
+    neg_log: Callable  # (s, b) -> -log F, with log1p so deep tails do not cancel
+    cdf: Callable  # (s, b) -> F in closed form, not exp(-neg_log)
+    s_of_w: Callable  # (w, b) -> the s at which -log F = w
+    mixing: Callable | None  # (b, rng, n) -> latent mixing times; None if there is none
+    shaped: bool = True  # False: beta is pinned to 1
+    gmid_scale: float | None = None  # a, when F has the form 1/(1 + a*s)
+
+
+# mixing entries look sample_ggamma up at call time, so a rebinding of
+# the module attribute (such as a call tracer) reaches them too
+_KINDS = {
+    LawKind.BASE: _Kind(
+        neg_log=lambda s, b: s,
+        cdf=lambda s, b: np.exp(-s),
+        s_of_w=lambda w, b: w,
+        mixing=None,
+        shaped=False,
+    ),
+    LawKind.GMID: _Kind(
+        neg_log=lambda s, b: np.log1p(s),
+        cdf=lambda s, b: 1.0 / (1.0 + s),
+        s_of_w=lambda w, b: np.expm1(w),
+        mixing=lambda b, rng, n: rng.standard_exponential(n),
+        shaped=False,
+        gmid_scale=1.0,
+    ),
+    LawKind.GAMMA_MID: _Kind(
+        neg_log=lambda s, b: b * np.log1p(s),
+        cdf=lambda s, b: np.exp(-b * np.log1p(s)),
+        s_of_w=lambda w, b: np.expm1(w / b),
+        mixing=lambda b, rng, n: rng.gamma(b, 1.0, n),
+    ),
+    LawKind.GGAMMA_MID: _Kind(
+        neg_log=lambda s, b: np.log1p(b * np.log1p(s)),
+        cdf=lambda s, b: 1.0 / (1.0 + b * np.log1p(s)),
+        s_of_w=lambda w, b: np.expm1(np.expm1(w) / b),
+        mixing=lambda b, rng, n: sample_ggamma(b, rng, n),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class MaxLaw:
     """A law kind plus its exponent; beta is ignored for base and g-mid."""
 
@@ -65,45 +117,25 @@ class MaxLaw:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, LawKind):
             object.__setattr__(self, "kind", LawKind(self.kind))
-        if self.kind in (LawKind.BASE, LawKind.GMID):
+        if not _KINDS[self.kind].shaped:
             object.__setattr__(self, "beta", 1.0)
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be a finite positive number, got {self.beta}")
+        positive_finite(self.beta, "beta")
 
     # -- distribution function ------------------------------------------
 
     def neg_log_cdf(self, x):
         """-log F(x); computed with log1p so deep tails do not cancel."""
         s, scalar = _as_array(self.exponent.eval(x))
-        if self.kind is LawKind.BASE:
-            out = s
-        elif self.kind is LawKind.GMID:
-            out = np.log1p(s)
-        elif self.kind is LawKind.GAMMA_MID:
-            out = self.beta * np.log1p(s)
-        else:
-            out = np.log1p(self.beta * np.log1p(s))
-        return _unwrap(out, scalar)
+        return _unwrap(_KINDS[self.kind].neg_log(s, self.beta), scalar)
 
     def cdf(self, x):
         s, scalar = _as_array(self.exponent.eval(x))
-        if self.kind is LawKind.BASE:
-            out = np.exp(-s)
-        elif self.kind is LawKind.GMID:
-            out = 1.0 / (1.0 + s)
-        elif self.kind is LawKind.GAMMA_MID:
-            out = np.exp(-self.beta * np.log1p(s))
-        else:
-            out = 1.0 / (1.0 + self.beta * np.log1p(s))
-        return _unwrap(out, scalar)
+        return _unwrap(_KINDS[self.kind].cdf(s, self.beta), scalar)
 
     def quantile(self, u):
         """Inverse d.f. on (0, 1); endpoints are rejected."""
         us, scalar = _as_array(u)
-        if np.any(~np.isfinite(us)) or np.any(us <= 0.0) or np.any(us >= 1.0):
-            raise ValueError("quantile requires u strictly inside (0, 1)")
-        out = _quantile_w(self, -np.log(us))
-        return _unwrap(out, scalar)
+        return _unwrap(_quantile_w(self, -np.log(open_unit(us))), scalar)
 
     def support(self):
         return self.exponent.support()
@@ -112,39 +144,28 @@ class MaxLaw:
     # (seed, stream) sources reproduce identical output
 
     def sample_inverse(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        _check_size(n)
-        return _quantile_w(self, -np.log(uniform_open(rng, n)))
+        return _sample_max(self, rng, sample_size(n))
 
     def sample_latent(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw via the latent mixing time; not defined for the base kind.
 
-        A mixing time that underflows to 0.0 stands for a genuinely
-        positive sub-float value, so the draw is kept and collapses to
-        the smallest representable point of the support, matching the
-        inverse route's handling of unrepresentably extreme quantiles.
+        Given a mixing time T the draw is the base law to the power T,
+        i.e. a max of T base draws.  A mixing time that underflows to
+        0.0 stands for a genuinely positive sub-float value, so the draw
+        is kept and collapses to the smallest representable point of the
+        support, matching the inverse route's handling of unrepresentably
+        extreme quantiles.
         """
-        _check_size(n)
-        if self.kind is LawKind.BASE:
+        sample_size(n)
+        mixing = _KINDS[self.kind].mixing
+        if mixing is None:
             raise ValueError("base kind has no latent mixing time")
-        if self.kind is LawKind.GMID:
-            t = rng.standard_exponential(n)
-        elif self.kind is LawKind.GAMMA_MID:
-            t = rng.gamma(self.beta, 1.0, n)
-        else:
-            t = sample_ggamma(self.beta, rng, n)
-        w = -np.log(uniform_open(rng, n))
-        with np.errstate(over="ignore", divide="ignore"):
-            out = self.exponent._inverse_raw(w / t)
-        return _nudge_off_bottom(self.exponent, out)
+        return _sample_max(base_law(self.exponent), rng, n, mixing(self.beta, rng, n))
 
 
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-
-
-def _quantile_w(law: MaxLaw, w):
-    """Quantile evaluated at u = exp(-w), w > 0, without forming u.
+def _quantile_w(law: MaxLaw, w, k=None):
+    """Quantile evaluated at u = exp(-w), w > 0, without forming u; with
+    k, the quantile of F**k, i.e. of law at u = exp(-w/k).
 
     Working in w keeps the transform stable when u is close to either
     endpoint.  Quantiles beyond float range are mapped to the closest
@@ -153,16 +174,23 @@ def _quantile_w(law: MaxLaw, w):
     with the law's d.f. at the smallest representable values.
     """
     w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore"):
-        if law.kind is LawKind.BASE:
-            s = w
-        elif law.kind is LawKind.GMID:
-            s = np.expm1(w)
-        elif law.kind is LawKind.GAMMA_MID:
-            s = np.expm1(w / law.beta)
-        else:
-            s = np.expm1(np.expm1(w) / law.beta)
-    return _nudge_off_bottom(law.exponent, law.exponent._inverse_raw(s))
+    with np.errstate(over="ignore", divide="ignore"):
+        if k is not None:
+            w = w / k
+        s = _KINDS[law.kind].s_of_w(w, law.beta)
+        x = law.exponent._inverse_raw(s)
+    return _nudge_off_bottom(law.exponent, x)
+
+
+def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
+    """n draws (one scalar when n is None) of the maximum of k i.i.d.
+    draws from law, i.e. of F**k; k = None stands for k = 1.
+
+    k may be any positive real, or an array of n of them drawn before
+    the call; a k that underflowed to 0.0 yields the support bottom,
+    which _quantile_w moves to the smallest point inside it.
+    """
+    return _quantile_w(law, -np.log(uniform_open(rng, n)), k)
 
 
 def _nudge_off_bottom(exponent: Exponent, x):
@@ -181,24 +209,6 @@ def quantile_neg_log(law: MaxLaw, w):
     return _unwrap(_quantile_w(law, ws), scalar)
 
 
-def _redraw_zeros(draw, out: np.ndarray) -> np.ndarray:
-    # exact 0.0 only occurs by floating underflow; the target laws are
-    # continuous and positive, so rejecting zeros is bias-free
-    zero = out == 0.0
-    while np.any(zero):
-        out[zero] = draw(int(zero.sum()))
-        zero = out == 0.0
-    return out
-
-
-def sample_gamma(shape: float, rng: np.random.Generator, size: int | None = None):
-    """Unit-scale gamma variates, any shape > 0."""
-    if not (np.isfinite(shape) and shape > 0):
-        raise ValueError(f"gamma shape must be a finite positive number, got {shape}")
-    _check_size(1 if size is None else size)
-    return rng.gamma(shape, 1.0, size)
-
-
 def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None):
     """Gamma variate whose shape is beta times a unit exponential.
 
@@ -212,11 +222,9 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None
     Downstream transforms send such draws to the smallest representable
     point of the target support.
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be a finite positive number, got {beta}")
-    n = 1 if size is None else size
-    _check_size(n)
-    shape = beta * _redraw_zeros(rng.standard_exponential, rng.standard_exponential(n))
+    positive_finite(beta, "beta")
+    n = sample_size(1 if size is None else size)
+    shape = beta * rng.standard_exponential(n)
     while np.any(shape == 0.0):
         zero = shape == 0.0
         shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
@@ -226,8 +234,7 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None
 
 def lt_ggamma(beta: float, lam):
     """Laplace transform of the law drawn by sample_ggamma."""
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be a finite positive number, got {beta}")
+    positive_finite(beta, "beta")
     ls, scalar = _as_array(lam)
     if np.any(ls < 0) or np.any(np.isnan(ls)):
         raise ValueError("Laplace argument must be >= 0")

@@ -5,7 +5,6 @@ import pytest
 
 from maxdiv import (
     CdfExpr,
-    GeoP,
     RandomSource,
     base_law,
     expr_from_law,
@@ -39,12 +38,15 @@ GEO_GAMMA_N100_AT_1 = 0.58977738655180924
 POWERED_N100_AT_1 = 0.50119704144455027
 
 
-def test_geo_p_validation_and_mean():
-    assert GeoP(0.25).mean == 4.0
-    assert GeoP(1.0).p == 1.0
-    for bad in (0.0, -0.5, 1.5):
+def test_geo_max_rejects_p_outside_unit_interval():
+    law = g_mid(E1)
+    rng = RandomSource(0, 0).generator()
+    assert geo_max_cdf(law, 1.0, 1.0) == law.cdf(1.0)
+    for bad in (0.0, -0.5, 1.5, np.nan):
         with pytest.raises(ValueError):
-            GeoP(bad)
+            geo_max_cdf(law, bad, 1.0)
+        with pytest.raises(ValueError):
+            geo_max_sample(law, bad, rng, 10)
 
 
 def test_geo_max_of_ggamma_divides_the_shape_by_p():
@@ -62,14 +64,12 @@ def test_geo_max_spot_value():
     assert observed == pytest.approx(INV_1_PLUS_2LN2, rel=0, abs=1e-15)
 
 
-def test_geo_max_accepts_geo_p_and_plain_callables():
+def test_geo_max_accepts_plain_callables():
     law = g_mid(E1)
     x = np.array([0.5, 1.0, 4.0])
-    via_float = geo_max_cdf(law, 0.3, x)
-    via_geo_p = geo_max_cdf(law, GeoP(0.3), x)
+    via_law = geo_max_cdf(law, 0.3, x)
     via_callable = geo_max_cdf(law.cdf, 0.3, x)
-    np.testing.assert_array_equal(via_float, via_geo_p)
-    np.testing.assert_array_equal(via_float, via_callable)
+    np.testing.assert_array_equal(via_law, via_callable)
 
 
 def test_geo_max_with_p_one_is_identity():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from maxdiv import Family, LawKind
 from maxdiv.cli import main
 
 
@@ -28,6 +29,11 @@ def test_table_default_grid(runner):
     assert float(first[0]) == 0.1
     cdf_values = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.all(np.diff(cdf_values) > 0.0)
+    for kind in LawKind:
+        for family in Family:
+            result = runner.invoke(main, ["table", "--kind", kind.value, "--family", family.value])
+            assert result.exit_code == 0, (kind, family, result.output)
+            assert len(lines_of(result)) == 101
 
 
 def test_table_quantile_grid_and_law_options(runner):

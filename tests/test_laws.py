@@ -1,5 +1,7 @@
 """Law families: d.f. closed forms, quantiles, sampling routes, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from maxdiv import (
     law_to_dict,
     lt_ggamma,
     quantile_neg_log,
-    sample_gamma,
     sample_ggamma,
     weibull,
 )
@@ -33,7 +34,6 @@ INV_1_PLUS_2LN2 = 0.41905978419640521  # 1/(1 + 2 ln 2)
 INV_1_PLUS_HALF_LN2 = 0.74262558483126432  # 1/(1 + 0.5 ln 2)
 SQRT_HALF = 0.70710678118654752  # 2^(-1/2)
 # 3-sigma Monte Carlo bands at n = 10^5, frozen from the same computation
-BAND_MEAN_GAMMA_2 = 0.013416407864998738  # 3*sqrt(2)/sqrt(1e5)
 BAND_LT_BETA_1 = 0.0033898403013726047  # 3*sd(e^-T)/sqrt(1e5), unit shape
 BAND_LT_BETA_2 = 0.0035134620095707305  # 3*sd(e^-T)/sqrt(1e5), shape 2
 
@@ -138,6 +138,17 @@ def test_deep_lower_quantile_stays_inside_support():
     assert 0.0 < law.cdf(x) < 1e-2
 
 
+def test_deep_weibull_quantiles_do_not_warn():
+    # with alpha < 1, -(s ** (1/alpha)) overflows at the largest float s
+    # while the quantile is parked inside the support; that overflow is
+    # expected and must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = [ggamma_mid(0.5, weibull(0.5)).quantile(1e-12), g_mid(weibull(0.5)).quantile(1e-300)]
+    for x in xs:
+        assert np.isfinite(x) and x < 0.0
+
+
 def test_deep_upper_quantile_is_finite():
     law = ggamma_mid(0.5, E1)
     x = law.quantile(1.0 - 1e-12)
@@ -203,21 +214,6 @@ def test_inverse_and_latent_routes_agree():
         assert report.passed, (law.kind, report.statistic, report.critical_value)
 
 
-def test_sample_gamma_mean():
-    draws = sample_gamma(2.0, RandomSource(0, 5).generator(), 100_000)
-    assert abs(float(draws.mean()) - 2.0) < BAND_MEAN_GAMMA_2
-
-
-def test_sample_gamma_validation():
-    rng = RandomSource(0, 0).generator()
-    for bad in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError):
-            sample_gamma(bad, rng, 5)
-    with pytest.raises(ValueError):
-        sample_gamma(1.0, rng, 0)
-    assert isinstance(sample_gamma(1.0, rng), float)
-
-
 def test_sample_ggamma_matches_its_laplace_transform():
     for beta, band in ((1.0, BAND_LT_BETA_1), (2.0, BAND_LT_BETA_2)):
         draws = sample_ggamma(beta, RandomSource(0, 6).generator(), 100_000)
@@ -234,6 +230,15 @@ def test_sample_ggamma_scalar_and_validation():
         sample_ggamma(-1.0, rng)
     with pytest.raises(ValueError):
         sample_ggamma(1.0, rng, 0)
+
+
+def test_sample_ggamma_survives_subnormal_shape():
+    # beta * Exp(1) rounds to 0.0 whenever Exp(1) <= 0.5 (about 39% of
+    # draws) at this beta; those shapes are redrawn until all are positive
+    n = 1000
+    draws = sample_ggamma(5e-324, RandomSource(0, 8).generator(), n)
+    assert draws.shape == (n,)
+    assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
 
 
 def test_lt_ggamma_closed_form():
