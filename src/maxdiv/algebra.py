@@ -9,6 +9,16 @@ The operators below implement that composition and the closed forms it
 induces on the law families: scaling of a 1/(1+psi) exponent, the
 semi-stable rescaling b with psi(b x) = psi(x)/p, the iterate map
 f -> 1/(1 - log f), and powered d.f.s for deterministic maxima.
+
+Sampling the composition needs no inner draws.  G(x) = u solves to
+H(x) = u / (p + (1-p) u), so the G-quantile at u is the H-quantile at
+that level.  In w = -log(u) space the level becomes
+
+    -log H = w + log(p + (1-p) e^-w) = log1p(p * expm1(w)),
+
+the last form free of cancellation for small w and small p.  One
+uniform per draw then gives an exact geometric(p)-max for every p,
+and p = 1 leaves w unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ import numpy as np
 
 from ._checks import positive_finite, probability, sample_size
 from .exponents import Exponent, Family, _as_array, _unwrap
-from .laws import _KINDS, MaxLaw
+from .laws import _KINDS, MaxLaw, _quantile_w
+from .rng import uniform_open
 
 __all__ = [
     "CdfExpr",
@@ -93,13 +104,17 @@ def geo_max_cdf(h, p, x):
 
 
 def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = None):
-    """Draw max(X_1..X_N) with N ~ geometric(p) and X_i i.i.d. from law."""
+    """Draw max(X_1..X_N) with N ~ geometric(p) and X_i i.i.d. from law.
+
+    Inverts G in w space (see the module docstring): one uniform per
+    draw, so time and memory do not grow as p shrinks.
+    """
     p = probability(float(p), "geometric parameter", allow_one=True)
     n = sample_size(1 if size is None else size)
-    counts = rng.geometric(p, n)
-    draws = law.sample_inverse(rng, int(counts.sum()))
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = np.maximum.reduceat(draws, starts)
+    w = -np.log(uniform_open(rng, n))
+    if p < 1.0:
+        w = np.log1p(p * np.expm1(w))
+    out = _quantile_w(law, w)
     return float(out[0]) if size is None else out
 
 

@@ -13,10 +13,24 @@ with marginal shape beta exactly when the innovations carry shape
 p*beta.  Innovations with shape beta/p do NOT give a beta-stationary
 chain; that variant is kept reachable (innovation_beta override) as a
 negative control for the verification harness.
+
+Neither sampler steps the recursion one value at a time.  Between two
+resets the chain is the running maximum of the innovations since the
+last reset, X_0 heading the stretch before the first one, so a whole
+chain is a segmented running maximum (ar1_simulate).  For a single
+lag L, look back from step L: each step was a reset with probability
+p, independently, so the number of steps back to the last reset is
+G ~ geometric(p) on {1, 2, ...}.  If G <= L, X_L is the maximum of
+the G innovations since that reset; if G > L, no reset happened and
+X_L is the maximum of X_0 and all L innovations.  Either way X_L is
+the maximum of k = min(G, L) innovations, joined by X_0 when G > L,
+and the maximum of k i.i.d. innovations is one quantile of F_eps**k
+(ar1_ensemble).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +43,6 @@ __all__ = [
     "Ar1Spec",
     "stationary_innovation_shape",
     "innovation_cdf_from_marginal",
-    "ar1_step",
     "ar1_simulate",
     "ar1_ensemble",
 ]
@@ -72,22 +85,32 @@ def innovation_cdf_from_marginal(marginal_value, p: float):
     return _unwrap(f / (p + (1.0 - p) * f), scalar)
 
 
-def ar1_step(x_prev: float, innovation: float, u: float, p: float) -> float:
-    """One transition; u is the branch uniform (u < p means reset)."""
-    if not (0.0 <= u < 1.0):
-        raise ValueError(f"branch uniform must lie in [0, 1), got {u}")
-    # checked inline, not through _checks: ar1_simulate calls this once
-    # per step, and a helper call there costs about a fifth of its time
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if u < p:
-        return float(innovation)
-    return float(max(x_prev, innovation))
-
-
-def _innovations(spec: Ar1Spec, rng: np.random.Generator, n: int, beta_override: float | None) -> np.ndarray:
+def _innovations(spec: Ar1Spec, rng: np.random.Generator, n: int, beta_override: float | None, k=None) -> np.ndarray:
+    """n innovation draws, each the maximum of k of them (k = None: one)."""
     beta = spec.innovation_beta if beta_override is None else float(beta_override)
-    return _sample_max(ggamma_mid(beta, spec.exponent), rng, n)
+    return _sample_max(ggamma_mid(beta, spec.exponent), rng, n, k)
+
+
+def _segmented_running_max(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Running maximum of values, restarted at every index where heads is set.
+
+    Ranks stand in for the values, so one np.maximum.accumulate over
+    segment*n + rank restarts at each head and returns stored values
+    exactly.  Equal values rank the earlier index higher, so ties keep
+    the earlier element (max(-0.0, 0.0) stays -0.0), as a step-by-step
+    max(previous, new) does.  NaN ranks above everything, so a NaN X_0
+    holds its segment to the end, again as max(previous, new) does;
+    innovations are never NaN.
+    """
+    n = values.size
+    # stable sort of the reversed values: among equal values the later
+    # index comes first and so gets the lower rank
+    order = n - 1 - np.argsort(values[::-1], kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    offset = (np.cumsum(heads) - 1) * n
+    running = np.maximum.accumulate(offset + rank) - offset
+    return values[order[running]]
 
 
 def ar1_simulate(
@@ -100,8 +123,9 @@ def ar1_simulate(
     """A single chain of n_steps values, X_0 included.
 
     init = None draws X_0 from the stationary marginal; a number fixes
-    X_0.  Branch uniforms for the whole chain are drawn first, then the
-    innovations, so equal-seed runs reproduce byte for byte.
+    X_0.  Branch uniforms for the whole chain are drawn first (u < p is
+    a reset), then X_0, then the innovations, so equal-seed runs
+    reproduce byte for byte.
     """
     sample_size(n_steps, "n_steps")
     u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
@@ -110,11 +134,9 @@ def ar1_simulate(
     else:
         x0 = float(init)
     eps = _innovations(spec, rng, n_steps - 1, innovation_beta) if n_steps > 1 else np.empty(0)
-    out = np.empty(n_steps)
-    out[0] = x0
-    for k in range(1, n_steps):
-        out[k] = ar1_step(out[k - 1], eps[k - 1], u[k - 1], spec.p)
-    return out
+    values = np.concatenate(([x0], eps))
+    heads = np.concatenate(([True], u < spec.p))
+    return _segmented_running_max(values, heads)
 
 
 def ar1_ensemble(
@@ -125,16 +147,23 @@ def ar1_ensemble(
     init: float | None = None,
     innovation_beta: float | None = None,
 ) -> np.ndarray:
-    """X_lag across n_chains independent chains, advanced in lockstep."""
-    if lag < 0:
+    """X_lag across n_chains independent chains, drawn from its exact law.
+
+    X_0 comes first (from the stationary marginal when init is None),
+    then the look-back G ~ geometric(p) to the last reset, then one
+    draw of the maximum of min(G, lag) innovations, joined by X_0 where
+    G > lag: at most three variates per chain, whatever the lag.
+    """
+    # index() rejects a float lag, which would become a fractional innovation count
+    if operator.index(lag) < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     sample_size(n_chains, "n_chains")
     if init is None:
-        x = _sample_max(spec.marginal_law(), rng, n_chains)
+        x0 = _sample_max(spec.marginal_law(), rng, n_chains)
     else:
-        x = np.full(n_chains, float(init))
-    for _ in range(lag):
-        u = rng.random(n_chains)
-        eps = _innovations(spec, rng, n_chains, innovation_beta)
-        x = np.where(u < spec.p, eps, np.maximum(x, eps))
-    return x
+        x0 = np.full(n_chains, float(init))
+    if lag == 0:
+        return x0
+    back = rng.geometric(spec.p, n_chains)
+    x = _innovations(spec, rng, n_chains, innovation_beta, k=np.minimum(back, lag))
+    return np.where(back > lag, np.maximum(x, x0), x)

@@ -37,10 +37,7 @@ _FAMILIES = tuple(family.value for family in Family)
 
 AR1_CHECK_CHAINS = 100_000
 AR1_CHECK_LAG = 100
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+_CSV_BLOCK_ROWS = 65_536
 
 
 def _law(kind: str, family: str, alpha: float, beta: float) -> MaxLaw:
@@ -59,11 +56,20 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _write_csv(out: str, header: str, rows) -> None:
+def _write_csv(out: str, header: str, *columns) -> None:
+    """The header, then row i of the columns: integers as %d, floats as %.17g.
+
+    Rows are formatted a block at a time, one %-format per block; "%.17g"
+    gives the same text as format(v, ".17g"), ±0, ±inf and NaN included.
+    """
+    columns = [np.atleast_1d(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with click.open_file(out, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            flat = block[0] if len(block) == 1 else [v for row in zip(*block) for v in row]
+            fh.write((line * len(block[0])) % tuple(flat))
 
 
 def _usage(exc: Exception) -> "click.UsageError":
@@ -101,13 +107,11 @@ def table(kind, family, alpha, beta, grid_spec, qgrid_spec, out) -> None:
         else:
             lo, hi, count = _parse_grid(grid_spec)
             xs = np.linspace(lo, hi, count)
-        cdf = np.atleast_1d(law.cdf(xs))
-        nl = np.atleast_1d(law.neg_log_cdf(xs))
-        xs = np.atleast_1d(xs)
+        cdf = law.cdf(xs)
+        nl = law.neg_log_cdf(xs)
     except ValueError as exc:
         raise _usage(exc)
-    rows = ((_fmt(x), _fmt(c), _fmt(v)) for x, c, v in zip(xs, cdf, nl))
-    _write_csv(out, "x,cdf,neg_log_cdf", rows)
+    _write_csv(out, "x,cdf,neg_log_cdf", xs, cdf, nl)
 
 
 @main.command()
@@ -131,7 +135,7 @@ def sample(kind, family, alpha, beta, n, route, seed, stream, out) -> None:
             draws = law.sample_latent(rng, n)
     except ValueError as exc:
         raise _usage(exc)
-    _write_csv(out, "value", ((_fmt(v),) for v in draws))
+    _write_csv(out, "value", draws)
 
 
 @main.command()
@@ -158,14 +162,13 @@ def ep(base_kind, family, alpha, beta, path_mode, times, sub_kind, sub_beta, t_v
         if path_mode:
             lo, hi, count = _parse_grid(times)
             path = ep_simulate_path(spec, np.linspace(lo, hi, count), rng)
-            rows = ((_fmt(t), _fmt(v)) for t, v in zip(path.times, path.values))
-            _write_csv(out, "t,value", rows)
+            _write_csv(out, "t,value", path.times, path.values)
             return
         sub = SubordinatorSpec(sub_kind, sub_beta)
         draws = compound_simulate(spec, sub, t_value, rng, n)
     except ValueError as exc:
         raise _usage(exc)
-    _write_csv(out, "value", ((_fmt(v),) for v in draws))
+    _write_csv(out, "value", draws)
 
 
 @main.command()
@@ -203,8 +206,7 @@ def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, s
         chain = ar1_simulate(spec, steps, rng, innovation_beta=innovation_beta)
     except ValueError as exc:
         raise _usage(exc)
-    rows = ((str(k), _fmt(v)) for k, v in enumerate(chain))
-    _write_csv(out, "step,value", rows)
+    _write_csv(out, "step,value", np.arange(chain.size), chain)
 
 
 @main.command("verify")

@@ -21,6 +21,12 @@ schemes); Monte Carlo checks use the 1% KS band at n = 10^5.  Guard
 conditions (convergence monotonicity, the T3_3 control) force the
 discrepancy to the tolerance when violated so that pass == (discrepancy
 < tolerance) always holds.
+
+One verify_all runs 16 one-sample KS tests: 15 at the 1% level (three
+shape cells each in T3_1 and T3_2, nine shape x p cells in T3_3) plus
+the beta/p control, which must fail.  With 15 tests at 1%, about 14%
+of seeds (1 - 0.99**15) are expected to fail some Monte Carlo cell
+even when every sampler is right.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Geometric-max composition operators and their closed-form identities."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from maxdiv import (
     gumbel,
     iterate_transform,
     ks_one_sample,
+    ks_two_sample,
     limit_geo_gamma_cdf,
     n_max_cdf,
     quantile_grid,
@@ -215,6 +218,41 @@ def test_geo_max_sample_of_ggamma_lands_on_the_divided_shape():
     draws = geo_max_sample(ggamma_mid(1.0, E1), 0.5, RandomSource(4, 9).generator(), 20_000)
     report = ks_one_sample(draws, ggamma_mid(2.0, E1))
     assert report.passed, report.statistic
+
+
+def _geo_max_by_counts(law, p, rng, n):
+    # the former sampler, kept as an oracle: draw N ~ geometric(p) per
+    # output, then take the max of N inner draws (about n/p draws in all)
+    counts = rng.geometric(p, n)
+    draws = law.sample_inverse(rng, int(counts.sum()))
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.maximum.reduceat(draws, starts)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.01])
+def test_geo_max_sample_matches_the_counting_oracle(p):
+    law = ggamma_mid(1.5, gumbel())
+    n = 20_000
+    draws = geo_max_sample(law, p, RandomSource(6, 9).substream(0).generator(), n)
+    oracle = _geo_max_by_counts(law, p, RandomSource(6, 9).substream(1).generator(), n)
+    report = ks_two_sample(draws, oracle)
+    assert report.passed, (p, report.statistic, report.critical_value)
+
+
+def test_geo_max_sample_with_p_one_is_a_plain_draw():
+    law = ggamma_mid(2.0, weibull(1.5))
+    draws = geo_max_sample(law, 1.0, RandomSource(7, 9).generator(), 1000)
+    plain = law.sample_inverse(RandomSource(7, 9).generator(), 1000)
+    assert draws.tobytes() == plain.tobytes()
+
+
+def test_geo_max_sample_cost_does_not_grow_as_p_shrinks():
+    # the counting route would need about 10^10 inner draws here
+    start = time.perf_counter()
+    draws = geo_max_sample(ggamma_mid(1.0, E1), 1e-9, RandomSource(8, 9).generator(), 10)
+    assert time.perf_counter() - start < 1.0
+    assert draws.shape == (10,)
+    assert np.all(draws > 0.0)
 
 
 def test_geo_max_sample_scalar_and_validation():

@@ -8,18 +8,60 @@ from maxdiv import (
     RandomSource,
     ar1_ensemble,
     ar1_simulate,
-    ar1_step,
+    critical_two_sample,
     frechet,
     geo_max_cdf,
     ggamma_mid,
+    gumbel,
     innovation_cdf_from_marginal,
     ks_one_sample,
+    ks_two_sample,
     quantile_grid,
     stationary_innovation_shape,
     weibull,
 )
+from maxdiv.ar1 import _segmented_running_max
+from maxdiv.laws import _sample_max
 
 E1 = frechet(1.0)
+
+
+# -- step-by-step oracles: the recursion as written, one value at a time --
+
+
+def ar1_step(x_prev: float, innovation: float, u: float, p: float) -> float:
+    """One transition; u is the branch uniform (u < p means reset)."""
+    if u < p:
+        return float(innovation)
+    return float(max(x_prev, innovation))
+
+
+def _innovation_law(spec, innovation_beta):
+    beta = spec.innovation_beta if innovation_beta is None else innovation_beta
+    return ggamma_mid(beta, spec.exponent)
+
+
+def simulate_by_steps(spec, n_steps, rng, init=None, innovation_beta=None):
+    """ar1_simulate's draws in its order, then a Python loop of ar1_step."""
+    u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
+    x0 = float(_sample_max(spec.marginal_law(), rng, None)) if init is None else float(init)
+    eps = _sample_max(_innovation_law(spec, innovation_beta), rng, n_steps - 1) if n_steps > 1 else np.empty(0)
+    out = np.empty(n_steps)
+    out[0] = x0
+    for k in range(1, n_steps):
+        out[k] = ar1_step(out[k - 1], eps[k - 1], u[k - 1], spec.p)
+    return out
+
+
+def ensemble_lockstep(spec, lag, rng, n_chains, init=None, innovation_beta=None):
+    """X_lag of n_chains chains advanced together, one transition per lag."""
+    x = _sample_max(spec.marginal_law(), rng, n_chains) if init is None else np.full(n_chains, float(init))
+    innovation = _innovation_law(spec, innovation_beta)
+    for _ in range(lag):
+        u = rng.random(n_chains)
+        eps = _sample_max(innovation, rng, n_chains)
+        x = np.where(u < spec.p, eps, np.maximum(x, eps))
+    return x
 
 # P{X_n < X_(n-1)} at stationarity: p/(1-p) + p^2 ln(p)/(1-p)^2,
 # frozen from a 50-digit computation
@@ -92,9 +134,70 @@ def test_innovation_cdf_validates_range():
 
 
 def test_step_semantics():
+    # the oracle's transition, which the vectorised samplers must reproduce
     assert ar1_step(3.0, 1.0, 0.1, 0.5) == 1.0  # refresh branch
     assert ar1_step(3.0, 1.0, 0.9, 0.5) == 3.0  # max branch keeps the past
     assert ar1_step(1.0, 3.0, 0.9, 0.5) == 3.0  # max branch takes the innovation
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5000])
+@pytest.mark.parametrize("init", [None, 7.5, 0.0, -0.0, np.inf, -np.inf, np.nan])
+def test_simulate_is_byte_identical_to_the_step_loop(n_steps, init):
+    for exponent in (E1, weibull(2.0), gumbel()):
+        for p in (0.01, 0.5, 0.9):
+            for innovation_beta in (None, 3.0):
+                spec = Ar1Spec(p, 1.5, exponent)
+                fast = ar1_simulate(spec, n_steps, RandomSource(n_steps, 47).generator(), init, innovation_beta)
+                slow = simulate_by_steps(spec, n_steps, RandomSource(n_steps, 47).generator(), init, innovation_beta)
+                assert fast.tobytes() == slow.tobytes(), (exponent.family, p, innovation_beta)
+
+
+def test_segmented_running_max_breaks_ties_like_python_max():
+    # many ties and signed zeros: max(previous, new) keeps the earlier
+    # of equal values, so the sign bit of a zero depends on the order
+    rng = np.random.default_rng(52)
+    values = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], 2000)
+    heads = rng.random(2000) < 0.1
+    heads[0] = True
+    expected = []
+    for value, head in zip(values.tolist(), heads.tolist()):
+        expected.append(value if head else max(expected[-1], value))
+    got = _segmented_running_max(values, heads)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+# ar1_ensemble against the lockstep oracle: 3 p x 2 starts x 3 lags = 18
+# two-sample KS comparisons, each held to a 1%/18 level so the family
+# of them keeps a 1% false-alarm rate (Bonferroni)
+ENSEMBLE_PS = (0.01, 0.5, 0.9)
+ENSEMBLE_LAGS = (0, 1, 100)
+ENSEMBLE_TESTS = len(ENSEMBLE_PS) * 2 * len(ENSEMBLE_LAGS)
+ENSEMBLE_C = float(np.sqrt(-0.5 * np.log(0.01 / ENSEMBLE_TESTS / 2.0)))
+
+
+@pytest.mark.parametrize("p", ENSEMBLE_PS)
+@pytest.mark.parametrize("fixed_start", [False, True])
+def test_ensemble_matches_the_lockstep_oracle(p, fixed_start):
+    # at p = 0.01 and lag 100 about 37% of chains never reset, so the
+    # max with X_0 is exercised; a fixed start at the marginal median
+    # makes that branch visible in the law
+    spec = Ar1Spec(p, 1.5, E1)
+    init = float(spec.marginal_law().quantile(0.5)) if fixed_start else None
+    n = 40_000
+    source = RandomSource(23, 49)
+    for j, lag in enumerate(ENSEMBLE_LAGS):
+        fast = ar1_ensemble(spec, lag, source.substream(2 * j).generator(), n, init)
+        slow = ensemble_lockstep(spec, lag, source.substream(2 * j + 1).generator(), n, init)
+        report = ks_two_sample(fast, slow)
+        band = ENSEMBLE_C / 1.628 * critical_two_sample(n, n)
+        assert report.statistic < band, (lag, report.statistic, band)
+
+
+def test_ensemble_lag_zero_is_the_start():
+    spec = Ar1Spec(0.5, 1.0, E1)
+    np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(0, 50).generator(), 10, init=2.5), 2.5)
+    start = _sample_max(spec.marginal_law(), RandomSource(1, 50).generator(), 10)
+    np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(1, 50).generator(), 10), start)
 
 
 def test_simulate_shape_and_determinism():
@@ -150,11 +253,24 @@ def test_wrong_innovation_shape_breaks_stationarity():
     assert not report.passed, report.statistic
 
 
+@pytest.mark.parametrize("p", [0.01, 0.9])
+def test_wrong_innovation_shape_fails_at_other_reset_rates(p):
+    spec = Ar1Spec(p, 1.0, E1)
+    draws = ar1_ensemble(
+        spec, 100, RandomSource(22, 51).generator(), 20_000,
+        innovation_beta=spec.marginal_beta / spec.p,
+    )
+    report = ks_one_sample(draws, spec.marginal_law())
+    assert not report.passed, report.statistic
+
+
 def test_ensemble_validation():
     spec = Ar1Spec(0.5, 1.0, E1)
     rng = RandomSource(0, 46).generator()
     with pytest.raises(ValueError):
         ar1_ensemble(spec, -1, rng, 100)
+    with pytest.raises(TypeError):
+        ar1_ensemble(spec, 2.5, rng, 100)
     with pytest.raises(ValueError):
         ar1_ensemble(spec, 10, rng, 0)
     with pytest.raises(ValueError):

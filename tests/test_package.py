@@ -12,7 +12,7 @@ def test_top_level_names_are_the_union_of_the_layers():
     modules = [importlib.import_module(f"maxdiv.{layer}") for layer in LAYERS]
     union = {name for module in modules for name in module.__all__}
     assert set(maxdiv.__all__) == union
-    assert len(maxdiv.__all__) == len(union) == 63
+    assert len(maxdiv.__all__) == len(union) == 62
     for module in modules:
         for name in module.__all__:
             assert getattr(maxdiv, name) is getattr(module, name)
