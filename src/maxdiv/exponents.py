@@ -62,7 +62,12 @@ class Exponent:
         positive_finite(self.alpha, "alpha")
 
     def eval(self, x):
-        """psi(x); nonincreasing, with value +inf below a frechet support."""
+        """psi(x); nonincreasing, with value +inf below a frechet support.
+
+        A NaN x gives NaN in every family, so every d.f., -log d.f. and
+        composed d.f. built on psi maps NaN to NaN rather than to a
+        family-dependent 0 or 1.
+        """
         xs, scalar = _as_array(x)
         with np.errstate(over="ignore"):
             if self.family is Family.FRECHET:
@@ -75,14 +80,17 @@ class Exponent:
                 out[neg] = (-xs[neg]) ** self.alpha
             else:
                 out = np.exp(-xs)
+        out[np.isnan(xs)] = np.nan
         return _unwrap(out, scalar)
 
     def inverse(self, s):
-        """The x with psi(x) = s, for finite s > 0."""
+        """The x with psi(x) = s, for finite s > 0; an x beyond float
+        range is returned as its IEEE limit, without a warning."""
         ss, scalar = _as_array(s)
         if np.any(~np.isfinite(ss)) or np.any(ss <= 0):
             raise ValueError("inverse requires finite s > 0")
-        return _unwrap(self._inverse_raw(ss), scalar)
+        with np.errstate(over="ignore"):
+            return _unwrap(self._inverse_raw(ss), scalar)
 
     def _inverse_raw(self, s: np.ndarray) -> np.ndarray:
         # unchecked path: s = +inf maps to the support bottom by IEEE limits

@@ -5,6 +5,11 @@ and independent max-increments: on a grid t_1 < ... < t_k the path is
 
     Y(t_1) = J_1,   Y(t_j) = max(Y(t_{j-1}), J_j),   J_j ~ F**(t_j - t_{j-1}).
 
+Paths are drawn that way without a Python step per grid point: the
+increments of many grid points come from one vectorised F**dt draw in
+grid-major order, and a running maximum along the grid turns them into
+paths.  Seeded paths are byte-identical to a point-by-point loop.
+
 Subordination replaces t with a positive random time T(t).  With T(t)
 gamma(t, 1) the compound marginal is phi(-log F)**t for the gamma
 Laplace transform phi(lam) = 1/(1+lam); the log-compounded subordinator
@@ -21,6 +26,11 @@ import numpy as np
 from ._checks import open_unit, positive_finite, sample_size
 from .exponents import _as_array, _unwrap
 from .laws import MaxLaw, _quantile_w, _sample_max, sample_ggamma
+
+# variates per ep_simulate_ensemble block: large enough to amortise the
+# per-call cost over long grids, small enough (0.5 MB of float64) that
+# the block's temporaries stay in cache for large ensembles
+_EP_BLOCK_VARIATES = 2**16
 
 __all__ = [
     "SubKind",
@@ -120,23 +130,56 @@ def ep_marginal_quantile(spec: ExtremalSpec, t: float, u):
 def ep_max_increment_sample(spec: ExtremalSpec, dt: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draws of the fresh max-increment over an interval of length dt.
 
-    The increment law is F**dt whatever the interval's left endpoint;
-    the path simulator composes these draws with running maxima.
+    The increment law is F**dt whatever the interval's left endpoint.
+    ep_simulate_ensemble draws the same increments a block of grid
+    points at a time rather than through this function.
     """
     dt = _check_time(dt)
     return _sample_max(spec.base, rng, sample_size(n), dt)
 
 
 def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent paths on a shared grid; shape (n, len(times))."""
+    """n independent paths on a shared grid; shape (n, len(times)).
+
+    The generator is read grid-major, as by a loop over grid points that
+    draws n increments each, but in blocks of whole grid rows of about
+    _EP_BLOCK_VARIATES variates: one _sample_max call with the interval
+    lengths as k, then a running maximum along the grid that starts
+    from the previous block's last column.  Seeded output is
+    byte-identical to that loop except where a uniform is exactly 0.0
+    (probability 2**-53 per variate): uniform_open redraws it after the
+    whole block, the loop after its own grid point.
+    """
     times = _check_times(times)
     sample_size(n)
+    dt = np.diff(times, prepend=0.0)
+    rows = max(1, _EP_BLOCK_VARIATES // n)
     out = np.empty((n, times.size))
-    out[:, 0] = ep_max_increment_sample(spec, times[0], rng, n)
-    for j in range(1, times.size):
-        jump = ep_max_increment_sample(spec, times[j] - times[j - 1], rng, n)
-        out[:, j] = np.maximum(out[:, j - 1], jump)
+    for j in range(0, times.size, rows):
+        block = _sample_max(spec.base, rng, (min(rows, times.size - j), n), dt[j : j + rows, None])
+        if j:
+            np.maximum(out[:, j - 1], block[0], out=block[0])
+        _running_max_rows(block)
+        out[:, j : j + rows] = block.T
     return out
+
+
+def _running_max_rows(block: np.ndarray) -> None:
+    """In place, row i becomes the elementwise max of rows 0..i.
+
+    A doubling scan: ceil(log2(rows)) vectorised maxima over contiguous
+    rows.  np.maximum.accumulate(axis=0) runs its inner loop once per
+    column, ~7 ns per element, which for wide blocks of few rows costs
+    more than drawing them.  The max of a set does not depend on the
+    order of comparisons, so this equals a sequential running max for
+    values that hold no NaN and no zeros of both signs; quantile draws
+    are never NaN and their only zero is -0.0.
+    """
+    step = 1
+    while step < block.shape[0]:
+        # numpy buffers the overlapping operands, so each pass reads the previous one
+        np.maximum(block[:-step], block[step:], out=block[step:])
+        step *= 2
 
 
 def ep_simulate_path(spec: ExtremalSpec, times, rng: np.random.Generator) -> PathGrid:

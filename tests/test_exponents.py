@@ -68,6 +68,23 @@ def test_inverse_round_trip():
         np.testing.assert_allclose(e.eval(x), s, rtol=1e-12, atol=0.0)
 
 
+def test_eval_maps_nan_to_nan_in_every_family():
+    xs = np.array([np.nan, -1.0, 1.0])
+    for e in ALL_EXPONENTS:
+        assert np.isnan(e.eval(np.nan))
+        vals = e.eval(xs)
+        assert np.isnan(vals[0])
+        np.testing.assert_array_equal(vals[1:], [e.eval(-1.0), e.eval(1.0)])
+
+
+def test_inverse_beyond_float_range_is_the_ieee_limit_without_a_warning():
+    # 1/5e-324 and (1e300)**2 overflow; the checked path returns the limit
+    # silently, like the quantile transforms' unchecked path
+    assert frechet(1.0).inverse(5e-324) == np.inf
+    assert weibull(0.5).inverse(1e300) == -np.inf
+    np.testing.assert_array_equal(frechet(1.0).inverse([5e-324, 1.0]), [np.inf, 1.0])
+
+
 def test_inverse_rejects_nonpositive_and_nonfinite():
     e = frechet(1.0)
     for bad in (0.0, -1.0, np.inf, np.nan):

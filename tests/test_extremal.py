@@ -1,9 +1,13 @@
 """Extremal processes: marginals, paths, subordination, compound identities."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from maxdiv import (
+    Exponent,
     ExtremalSpec,
     PathGrid,
     RandomSource,
@@ -21,11 +25,13 @@ from maxdiv import (
     g_mid,
     gamma_mid,
     ggamma_mid,
+    gumbel,
     ks_one_sample,
     ks_two_sample,
     quantile_grid,
     subordinator_marginal,
     subordinator_path,
+    weibull,
 )
 
 E1 = frechet(1.0)
@@ -34,6 +40,32 @@ E1 = frechet(1.0)
 INV_1_PLUS_LN2 = 0.59061610914964125  # 1/(1 + ln 2)
 # 3-sigma band on the mean of a gamma(3, 1) sample of size 10^4
 BAND_MEAN_GAMMA_3_N1E4 = 0.017  # pinned working band; exact 3 sigma is 0.01643...
+
+MAKERS = {
+    "base": lambda beta, e: base_law(e),
+    "g-mid": lambda beta, e: g_mid(e),
+    "gamma-mid": gamma_mid,
+    "ggamma-mid": ggamma_mid,
+}
+LAW_CASES = list(itertools.product(MAKERS, ("frechet", "weibull", "gumbel"), (0.5, 2.0)))
+
+
+def _spec(kind, family, beta):
+    return ExtremalSpec(MAKERS[kind](beta, Exponent(family, 1.5)))
+
+
+# -- step-by-step oracle: one grid point per Python step --
+
+
+def ensemble_by_steps(spec, times, rng, n):
+    """n paths, drawing the n increments of each grid point in turn."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty((n, times.size))
+    out[:, 0] = ep_max_increment_sample(spec, times[0], rng, n)
+    for j in range(1, times.size):
+        jump = ep_max_increment_sample(spec, times[j] - times[j - 1], rng, n)
+        out[:, j] = np.maximum(out[:, j - 1], jump)
+    return out
 
 
 def test_marginal_cdf_is_the_t_power():
@@ -230,3 +262,63 @@ def test_subordinator_scalar_size():
     assert isinstance(t, float)
     with pytest.raises(ValueError):
         subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), 2.0, rng, 0)
+
+
+# The blocked ensemble redraws an exact 0.0 uniform after its whole
+# block, the oracle after its own grid point, so the two streams could
+# part only where a uniform is exactly 0.0 (probability 2**-53 each);
+# no seed used here draws one.
+BLOCK_GRIDS = {
+    "one-point": ([1.7], 4),
+    "one-grid-point-per-block": (np.linspace(0.1, 3.0, 10), 2**16),
+    "several-blocks-and-a-partial-one": (np.linspace(0.5, 3.0, 1000), 300),
+    "extreme-steps": ([1e-300, 1.0, 1e300], 3),
+}
+
+
+def _assert_same_array(got, want):
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,family,beta", LAW_CASES)
+def test_ensemble_is_byte_identical_to_the_step_loop(kind, family, beta):
+    spec = _spec(kind, family, beta)
+    for i, (times, n) in enumerate(BLOCK_GRIDS.values()):
+        got = ep_simulate_ensemble(spec, times, RandomSource(40, i).generator(), n)
+        _assert_same_array(got, ensemble_by_steps(spec, times, RandomSource(40, i).generator(), n))
+
+
+@pytest.mark.parametrize("kind,family,beta", [("ggamma-mid", "frechet", 0.5), ("gamma-mid", "weibull", 2.0), ("g-mid", "gumbel", 2.0)])
+def test_long_path_is_byte_identical_to_the_step_loop(kind, family, beta):
+    # 20,000 points in one block; the oracle's per-step loop bounds the
+    # grid length (and so the law cases) a test can afford
+    spec = _spec(kind, family, beta)
+    times = np.linspace(0.5, 100.0, 20_000)
+    got = ep_simulate_ensemble(spec, times, RandomSource(41).generator(), 1)
+    _assert_same_array(got, ensemble_by_steps(spec, times, RandomSource(41).generator(), 1))
+    path = ep_simulate_path(spec, times, RandomSource(41).generator())
+    assert path.values.tobytes() == got[0].tobytes()
+
+
+def test_long_path_does_not_step_grid_point_by_grid_point():
+    # 10^6 points take well under a second in blocks; a per-point loop
+    # takes tens of seconds
+    spec = ExtremalSpec(gamma_mid(2.0, gumbel()))
+    times = np.linspace(1e-3, 1e3, 1_000_000)
+    start = time.perf_counter()
+    path = ep_simulate_path(spec, times, RandomSource(42).generator())
+    assert time.perf_counter() - start < 2.0
+    assert path.values.shape == times.shape
+    assert np.all(np.diff(path.values) >= 0.0)
+
+
+def test_weibull_extreme_steps_keep_negative_zeros_byte_identical():
+    # a 1e300 step sends every Weibull increment to -0.0; the running
+    # maximum must keep them exactly as the sequential loop does
+    spec = ExtremalSpec(base_law(weibull(0.5)))
+    times = [1e-300, 1.0, 1e300, 2e300]
+    got = ep_simulate_ensemble(spec, times, RandomSource(43).generator(), 50)
+    assert np.all(np.signbit(got[:, 2:]))
+    _assert_same_array(got, ensemble_by_steps(spec, times, RandomSource(43).generator(), 50))

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from maxdiv import (
+    ExtremalSpec,
     LawKind,
     MaxLaw,
     RandomSource,
+    SubKind,
+    SubordinatorSpec,
     base_law,
+    compound_marginal_cdf,
+    ep_marginal_cdf,
     frechet,
     g_mid,
     gamma_mid,
+    geo_max_cdf,
     ggamma_mid,
     gumbel,
     ks_two_sample,
@@ -74,6 +80,28 @@ def test_cdf_is_nondecreasing():
         for law in all_laws(exponent):
             f = law.cdf(law.quantile(u))
             assert np.all(np.diff(f) >= 0.0)
+
+
+@pytest.mark.parametrize("exponent", [frechet(1.5), weibull(1.5), gumbel()], ids=lambda e: e.family.value)
+def test_nan_in_gives_nan_out(exponent):
+    # one policy for all families: before, cdf(nan) was 0 for frechet,
+    # 1 for weibull and nan for gumbel
+    x = np.array([np.nan, -0.5, 0.5, 2.0])
+    for law in all_laws(exponent):
+        spec = ExtremalSpec(law)
+        values = {
+            "cdf": law.cdf(x),
+            "neg_log_cdf": law.neg_log_cdf(x),
+            "geo_max_cdf": geo_max_cdf(law, 0.3, x),
+            "ep_marginal_cdf": ep_marginal_cdf(spec, 2.0, x),
+            "compound gamma": compound_marginal_cdf(spec, SubordinatorSpec(SubKind.GAMMA), 2.0, x),
+            "compound ggamma": compound_marginal_cdf(spec, SubordinatorSpec(SubKind.GGAMMA_UNIT, 0.5), 1.0, x),
+        }
+        for name, v in values.items():
+            assert np.isnan(v[0]), (law, name)
+            assert not np.any(np.isnan(v[1:])), (law, name)
+        assert np.isnan(law.cdf(np.nan)) and np.isnan(law.neg_log_cdf(np.nan))
+        np.testing.assert_array_equal(values["cdf"][1:], law.cdf(x[1:]))
 
 
 def test_quantile_then_cdf_round_trip():
