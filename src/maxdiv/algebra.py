@@ -196,11 +196,14 @@ def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):
         F_n(x) = 1 / (1 + n*((1+psi(x))**(beta/n) - 1))
 
     F_n is a d.f. for every n >= 1 and converges pointwise, as n grows,
-    to 1/(1 + beta*log(1+psi(x))).
+    to 1/(1 + beta*log(1+psi(x))).  Where the power term is beyond float
+    range (beta near the float maximum) F_n is its IEEE limit 0, returned
+    without an overflow warning.
     """
     positive_finite(beta, "beta")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     s, scalar = _as_array(exponent.eval(x))
-    out = 1.0 / (1.0 + n * np.expm1((beta / n) * np.log1p(s)))
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + n * np.expm1((beta / n) * np.log1p(s)))
     return _unwrap(out, scalar)

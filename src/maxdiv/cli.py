@@ -6,6 +6,9 @@ chains and a stationarity check), verify (the numerical check registry).
 
 All numeric output is written with 17 significant digits so files round
 trip losslessly; a run with identical flags and seed is byte-identical.
+CSV rows carry exactly the bytes of "%d" (integers) and "%.17g" (floats),
+built with numpy a block of 65,536 rows at a time and written in binary
+mode, so every line ends in "\\n" on every platform.
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.
 """
 
@@ -16,6 +19,7 @@ import json
 import click
 import numpy as np
 
+from ._csv import csv_blocks
 from .ar1 import Ar1Spec, ar1_ensemble, ar1_simulate
 from .exponents import Exponent, Family
 from .extremal import (
@@ -37,7 +41,6 @@ _FAMILIES = tuple(family.value for family in Family)
 
 AR1_CHECK_CHAINS = 100_000
 AR1_CHECK_LAG = 100
-_CSV_BLOCK_ROWS = 65_536
 
 
 def _law(kind: str, family: str, alpha: float, beta: float) -> MaxLaw:
@@ -57,19 +60,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _write_csv(out: str, header: str, *columns) -> None:
-    """The header, then row i of the columns: integers as %d, floats as %.17g.
-
-    Rows are formatted a block at a time, one %-format per block; "%.17g"
-    gives the same text as format(v, ".17g"), ±0, ±inf and NaN included.
-    """
-    columns = [np.atleast_1d(c) for c in columns]
-    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with click.open_file(out, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            flat = block[0] if len(block) == 1 else [v for row in zip(*block) for v in row]
-            fh.write((line * len(block[0])) % tuple(flat))
+    """The header, then row i of the columns: integers as %d, floats as %.17g."""
+    with click.open_file(out, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for block in csv_blocks(columns):
+            fh.write(block)
 
 
 def _usage(exc: Exception) -> "click.UsageError":

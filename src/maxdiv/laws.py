@@ -220,11 +220,14 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None
     zero is the nearest representable value of a genuinely positive
     draw, and rejecting it would bias every quantile of the law.
     Downstream transforms send such draws to the smallest representable
-    point of the target support.
+    point of the target support.  For a beta near the float maximum a
+    shape beta*E beyond float range is inf, and so is its draw: the IEEE
+    limit, returned without an overflow warning.
     """
     positive_finite(beta, "beta")
     n = sample_size(1 if size is None else size)
-    shape = beta * rng.standard_exponential(n)
+    with np.errstate(over="ignore"):
+        shape = beta * rng.standard_exponential(n)
     while np.any(shape == 0.0):
         zero = shape == 0.0
         shape[zero] = beta * rng.standard_exponential(int(zero.sum()))

@@ -205,6 +205,14 @@ def test_limit_scheme_members_are_dfs_and_validated():
         limit_geo_gamma_cdf(1.0, 0, E1, 1.0)
 
 
+def test_limit_scheme_is_zero_where_its_power_term_overflows():
+    # (1+psi)**(beta/n) - 1 is beyond float range at beta = 1e308; F_n is
+    # then its IEEE limit 0, without an overflow warning
+    x = np.array([0.5, 1.0, 2.0])
+    assert np.array_equal(limit_geo_gamma_cdf(1e308, 3, E1, x), np.zeros(3))
+    assert limit_geo_gamma_cdf(1e308, 3, E1, 1.0) == 0.0
+
+
 def test_geo_max_sample_follows_the_composed_df():
     # empirical draws vs the rational-form d.f. at the 1% band, n = 20000
     law = g_mid(E1)

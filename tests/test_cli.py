@@ -1,12 +1,16 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from maxdiv import Family, LawKind
+import maxdiv
+from maxdiv import Exponent, Family, LawKind, MaxLaw, RandomSource
 from maxdiv.cli import main
 
 
@@ -194,3 +198,53 @@ def test_table_writes_to_file(runner, tmp_path):
     content = out.read_text().strip("\n").split("\n")
     assert content[0] == "x,cdf,neg_log_cdf"
     assert len(content) == 101
+
+
+def csv_text(header, *columns):
+    """The CSV the CLI promises, formatted value by value: %d and %.17g."""
+    formats = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    rows = zip(*(c.tolist() for c in columns))
+    return (header + "\n" + "".join(",".join(f % v for f, v in zip(formats, row)) + "\n" for row in rows)).encode()
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+def test_sample_bytes_across_block_boundaries(runner, tmp_path, n):
+    law = MaxLaw("ggamma-mid", Exponent("weibull", 1.5), 0.7)
+    draws = law.sample_inverse(RandomSource(3).generator(), n)
+    want = csv_text("value", draws)
+    args = ["sample", "--family", "weibull", "--alpha", "1.5", "--beta", "0.7", "--n", str(n), "--seed", "3"]
+    to_stdout = runner.invoke(main, args)
+    assert to_stdout.exit_code == 0
+    assert to_stdout.stdout_bytes == want
+    out = tmp_path / "draws.csv"
+    assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+    assert out.read_bytes() == want
+
+
+def test_multi_column_commands_match_per_value_formatting(runner):
+    law = MaxLaw("gamma-mid", Exponent("frechet", 2.0), 0.5)
+    xs = law.quantile(np.linspace(1e-9, 1 - 1e-9, 70_001))
+    table = runner.invoke(main, ["table", "--kind", "gamma-mid", "--alpha", "2", "--beta", "0.5", "--qgrid", "1e-9:0.999999999:70001"])
+    assert table.stdout_bytes == csv_text("x,cdf,neg_log_cdf", xs, law.cdf(xs), law.neg_log_cdf(xs))
+
+    spec = maxdiv.Ar1Spec(0.3, 1.2, Exponent("gumbel", 1.0))
+    chain = maxdiv.ar1_simulate(spec, 66_000, RandomSource(6).generator())
+    ar1 = runner.invoke(main, ["ar1", "--p", "0.3", "--beta", "1.2", "--family", "gumbel", "--steps", "66000", "--seed", "6"])
+    assert ar1.stdout_bytes == csv_text("step,value", np.arange(chain.size), chain)
+
+    times = np.linspace(0.001, 1000.0, 70_000)
+    path = maxdiv.ep_simulate_path(maxdiv.ExtremalSpec(MaxLaw("base", Exponent("frechet", 1.0), 1.0)), times, RandomSource(4).generator())
+    ep = runner.invoke(main, ["ep", "--path", "--times", "0.001:1000:70000", "--seed", "4"])
+    assert ep.stdout_bytes == csv_text("t,value", path.times, path.values)
+
+
+def test_stdout_of_a_real_process_is_the_same_bytes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maxdiv.__file__)))
+    env.pop("MAXDIV_SEED", None)
+    args = [sys.executable, "-m", "maxdiv.cli", "ar1", "--p", "0.5", "--steps", "1000", "--seed", "2"]
+    piped = subprocess.run(args, capture_output=True, env=env, check=True).stdout
+    subprocess.run(args + ["--out", str(tmp_path / "chain.csv")], env=env, check=True)
+    assert piped == (tmp_path / "chain.csv").read_bytes()
+    spec = maxdiv.Ar1Spec(0.5, 1.0, Exponent("frechet", 1.0))
+    chain = maxdiv.ar1_simulate(spec, 1000, RandomSource(2).generator())
+    assert piped == csv_text("step,value", np.arange(chain.size), chain)

@@ -269,6 +269,15 @@ def test_sample_ggamma_survives_subnormal_shape():
     assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
 
 
+def test_sample_ggamma_returns_inf_for_a_shape_beyond_float_range():
+    # at beta = 1e308, beta * Exp(1) overflows whenever Exp(1) > ~1.8; the
+    # shape and its draw are then the IEEE limit inf, without a warning
+    draws = sample_ggamma(1e308, RandomSource(0, 9).generator(), 100)
+    assert draws.shape == (100,)
+    assert np.all(draws > 0.0)
+    assert 0 < np.count_nonzero(np.isinf(draws)) < 100
+
+
 def test_lt_ggamma_closed_form():
     assert lt_ggamma(1.0, 0.0) == 1.0
     assert lt_ggamma(1.0, 1.0) == pytest.approx(INV_1_PLUS_LN2, rel=0, abs=1e-15)
