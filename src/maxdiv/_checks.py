@@ -18,6 +18,13 @@ def sample_size(n, name: str = "sample size"):
     return n
 
 
+def positive_integer(n, name: str = "n"):
+    """A whole number >= 1; an integral float such as 3.0 passes."""
+    if not (1 <= n < np.inf and int(n) == n):
+        raise ValueError(f"{name} must be a positive integer, got {n}")
+    return n
+
+
 def probability(p, name: str = "p", *, allow_one: bool = False):
     """p inside (0, 1), or inside (0, 1] when allow_one is set."""
     if allow_one:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import positive_finite, probability, sample_size
+from ._checks import positive_finite, positive_integer, probability, sample_size
 from .exponents import Exponent, Family, _as_array, _unwrap
 from .laws import _KINDS, MaxLaw, _quantile_w
 from .rng import uniform_open
@@ -183,8 +183,7 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
 
 def n_max_cdf(law, n: int, x):
     """d.f. of the maximum of n i.i.d. draws: F(x)**n via the -log channel."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    positive_integer(n)
     neg_log = law.neg_log_cdf if isinstance(law, MaxLaw) else law.neg_log
     v, scalar = _as_array(neg_log(x))
     return _unwrap(np.exp(-float(n) * v), scalar)
@@ -201,8 +200,7 @@ def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):
     without an overflow warning.
     """
     positive_finite(beta, "beta")
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    positive_integer(n)
     s, scalar = _as_array(exponent.eval(x))
     with np.errstate(over="ignore"):
         out = 1.0 / (1.0 + n * np.expm1((beta / n) * np.log1p(s)))

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from ._csv import csv_blocks
-from .ar1 import Ar1Spec, ar1_ensemble, ar1_simulate
+from .ar1 import Ar1Spec, ar1_simulate
 from .exponents import Exponent, Family
 from .extremal import (
     ExtremalSpec,
@@ -28,10 +28,9 @@ from .extremal import (
     compound_simulate,
     ep_simulate_path,
 )
-from .ksstats import ks_one_sample
-from .laws import LawKind, MaxLaw, ggamma_mid
+from .laws import LawKind, MaxLaw
 from .rng import RandomSource
-from .verify import CHECK_IDS, format_report, report_to_dict
+from .verify import AR1_LAG, CHECK_IDS, MC_SIZE, _ar1_draw, _mc_cell, format_report, report_to_dict
 from .verify import verify as run_check
 
 __all__ = ["main"]
@@ -39,8 +38,10 @@ __all__ = ["main"]
 _KINDS = tuple(kind.value for kind in LawKind)
 _FAMILIES = tuple(family.value for family in Family)
 
-AR1_CHECK_CHAINS = 100_000
-AR1_CHECK_LAG = 100
+# ar1 --check runs one T3_3 cell of the verification registry; the
+# benchmark oracle in perfbench/workloads.py reads these two sizes
+AR1_CHECK_CHAINS = MC_SIZE
+AR1_CHECK_LAG = AR1_LAG
 
 
 def _law(kind: str, family: str, alpha: float, beta: float) -> MaxLaw:
@@ -184,8 +185,8 @@ def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, s
         spec = Ar1Spec(p, beta, Exponent(family, alpha))
         rng = RandomSource(seed, stream).generator()
         if check_mode:
-            draws = ar1_ensemble(spec, AR1_CHECK_LAG, rng, AR1_CHECK_CHAINS, innovation_beta=innovation_beta)
-            report = ks_one_sample(draws, ggamma_mid(beta, spec.exponent))
+            draws = _ar1_draw(spec, innovation_beta)(rng, AR1_CHECK_CHAINS)
+            report = _mc_cell(draws, beta, spec.exponent)
             summary = {
                 "p": p,
                 "beta": beta,

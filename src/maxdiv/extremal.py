@@ -80,12 +80,8 @@ class PathGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _check_times(self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be positive and strictly increasing")
         if values.shape != times.shape:
             raise ValueError("values must match the time grid shape")
         object.__setattr__(self, "times", times)

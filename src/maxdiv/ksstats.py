@@ -119,16 +119,19 @@ def cdf_validity_gap(cdf, grid, bottom: float, top: float) -> float:
 
     Checks range [0, 1], monotonicity along the (sorted) grid, and the
     limit values at the two probe points; returns the worst violation,
-    0.0 for a clean distribution function.
+    0.0 for a clean distribution function, NaN if any value is NaN.
     """
     fn = cdf.cdf if isinstance(cdf, MaxLaw) else cdf
     grid = np.sort(np.asarray(grid, dtype=float))
     vals = np.asarray(fn(grid), dtype=float)
+    ends = np.array([fn(bottom), fn(top)], dtype=float)
+    if np.isnan(vals).any() or np.isnan(ends).any():
+        return float("nan")
     gaps = [
         float(max(0.0, np.max(-vals))),
         float(max(0.0, np.max(vals - 1.0))),
         float(max(0.0, np.max(vals[:-1] - vals[1:]))) if vals.size > 1 else 0.0,
-        abs(float(fn(bottom))),
-        abs(1.0 - float(fn(top))),
+        abs(float(ends[0])),
+        abs(1.0 - float(ends[1])),
     ]
     return max(gaps)

@@ -16,22 +16,28 @@ desk scale and reports a scalar discrepancy against a pinned tolerance:
     T3_3  max-AR(1) lag-100 marginal is stationary; the beta/p innovation
           variant is a negative control and must fail (Monte Carlo)
 
-Deterministic checks use tolerance 1e-12 (1e-3 for the two convergence
-schemes); Monte Carlo checks use the 1% KS band at n = 10^5.  Guard
-conditions (convergence monotonicity, the T3_3 control) force the
-discrepancy to the tolerance when violated so that pass == (discrepancy
-< tolerance) always holds.
+The table _CHECKS states each check's mode and tolerance: 1e-12 for the
+algebraic identities, 1e-3 for the two convergence schemes, the 1% KS
+band at n = 10^5 for Monte Carlo.  A check returns (discrepancy, detail);
+one reducer, _worst, keeps the largest of its cell scores, and a NaN cell
+makes the discrepancy NaN, so the check fails.  Guard conditions
+(convergence monotonicity, the T3_3 control) force the discrepancy to the
+tolerance when violated so that pass == (discrepancy < tolerance) holds.
 
-One verify_all runs 16 one-sample KS tests: 15 at the 1% level (three
-shape cells each in T3_1 and T3_2, nine shape x p cells in T3_3) plus
-the beta/p control, which must fail.  With 15 tests at 1%, about 14%
-of seeds (1 - 0.99**15) are expected to fail some Monte Carlo cell
-even when every sampler is right.
+One Monte Carlo runner serves T3_1-T3_3: cell i of a lattice draws from
+substream i of the check's stream, so no cell depends on another, and is
+KS-tested against the log-compounded law of its shape.  One verify_all
+runs 16 such tests: 15 at the 1% level (three shape cells each in T3_1
+and T3_2, nine shape x p cells in T3_3) plus the beta/p control, the
+last T3_3 cell, detected only if its statistic is at or above the band.
+With 15 tests at 1%, about 14% of seeds (1 - 0.99**15) are expected to
+fail some Monte Carlo cell even when every sampler is right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .algebra import expr_from_law, geo_max_cdf, iterate_transform, limit_geo_ga
 from .ar1 import Ar1Spec, ar1_ensemble
 from .exponents import frechet, gumbel, weibull
 from .extremal import ExtremalSpec, SubKind, SubordinatorSpec, compound_simulate
-from .ksstats import cdf_validity_gap, critical_one_sample, ks_one_sample, quantile_grid, sup_norm_grid
+from .ksstats import KSReport, cdf_validity_gap, critical_one_sample, ks_one_sample, quantile_grid, sup_norm_grid
 from .laws import base_law, g_mid, gamma_mid, ggamma_mid
 from .rng import RandomSource
 
@@ -51,9 +57,8 @@ ALGEBRAIC_TOL = 1e-12
 CONVERGENCE_TOL = 1e-3
 CONVERGENCE_NS = (10, 100, 1000, 10000)
 MC_SIZE = 100_000
+MC_TOL = critical_one_sample(MC_SIZE)
 AR1_LAG = 100
-
-CHECK_IDS = ("T2_1", "T2_2", "T2_3", "T2_4", "T2_5", "T2_6", "T2_7", "R2_1", "T3_1", "T3_2", "T3_3")
 
 # Verification checks draw from a dedicated stream block so that their
 # streams never collide with user-level sampling streams under the same
@@ -99,202 +104,172 @@ def format_report(report: VerificationReport) -> str:
     return line
 
 
+def _worst(cells) -> float:
+    """Largest cell discrepancy; NaN if any cell is NaN, as np.max."""
+    return float(np.max(np.fromiter(cells, dtype=float)))
+
+
 # -- deterministic checks ------------------------------------------------
 
 
-def _check_t2_1(source) -> tuple[str, float, float, str]:
-    worst = 0.0
+def _check_t2_1(source) -> tuple[float, str]:
+    laws = [(ggamma_mid(beta, _E1), gamma_mid(beta, _E1)) for beta in BETAS]
+    with np.errstate(divide="ignore"):
+        return _worst(sup_norm_grid(lambda x: np.exp(-(1.0 / f.cdf(x) - 1.0)), g.cdf, quantile_grid(f)) for f, g in laws), ""
+
+
+def _check_t2_2(source) -> tuple[float, str]:
+    return _worst(
+        cdf_validity_gap(law, quantile_grid(law), exponent.support().lower, np.inf)
+        for exponent in (_E1, frechet(2.0), weibull(1.0), gumbel())
+        for beta in BETAS
+        for law in (gamma_mid(beta, exponent), ggamma_mid(beta, exponent))
+    ), ""
+
+
+def _convergence(step_cdf, limit) -> tuple[float, str]:
+    """Sup distance of step_cdf(beta, n, .) to the law limit(beta) at each n of CONVERGENCE_NS."""
+    sups = {}
     for beta in BETAS:
-        log_law = ggamma_mid(beta, _E1)
-        gamma_law = gamma_mid(beta, _E1)
-        grid = quantile_grid(log_law)
-        f = log_law.cdf(grid)
-        with np.errstate(divide="ignore"):
-            restated = np.exp(-(1.0 / f - 1.0))
-        worst = max(worst, float(np.max(np.abs(restated - gamma_law.cdf(grid)))))
-    return "algebraic", worst, ALGEBRAIC_TOL, ""
+        law = limit(beta)
+        grid = quantile_grid(law)
+        sups[beta] = [sup_norm_grid(lambda x: step_cdf(beta, n, x), law.cdf, grid) for n in CONVERGENCE_NS]
+    detail = " ".join(f"beta={beta:g}:sup@n{CONVERGENCE_NS[-1]}={s[-1]:.3e}" for beta, s in sups.items())
+    if not all(a >= b for s in sups.values() for a, b in zip(s, s[1:])):
+        return CONVERGENCE_TOL, "sup sequence not decreasing; " + detail
+    return _worst(s[-1] for s in sups.values()), detail
 
 
-def _check_t2_2(source) -> tuple[str, float, float, str]:
-    worst = 0.0
-    for exponent in (_E1, frechet(2.0), weibull(1.0), gumbel()):
-        bottom, top = exponent.support().lower, np.inf
-        for beta in BETAS:
-            for law in (gamma_mid(beta, exponent), ggamma_mid(beta, exponent)):
-                gap = cdf_validity_gap(law, quantile_grid(law), bottom, top)
-                worst = max(worst, gap)
-    return "algebraic", worst, ALGEBRAIC_TOL, ""
+def _check_t2_3(source) -> tuple[float, str]:
+    return _convergence(lambda beta, n, x: limit_geo_gamma_cdf(beta, n, _E1, x), lambda beta: ggamma_mid(beta, _E1))
 
 
-def _convergence_sups(step_cdf, limit_law) -> list[float]:
-    grid = quantile_grid(limit_law)
-    return [sup_norm_grid(lambda x, n=n: step_cdf(n, x), limit_law.cdf, grid) for n in CONVERGENCE_NS]
+def _check_t2_4(source) -> tuple[float, str]:
+    return _convergence(lambda beta, n, x: n_max_cdf(ggamma_mid(beta / n, _E1), n, x), lambda beta: gamma_mid(beta, _E1))
 
 
-def _convergence_report(sups_by_beta: dict[float, list[float]]) -> tuple[str, float, float, str]:
-    final = max(sups[-1] for sups in sups_by_beta.values())
-    monotone = all(
-        all(a >= b for a, b in zip(sups, sups[1:])) for sups in sups_by_beta.values()
-    )
-    detail = " ".join(
-        f"beta={beta:g}:sup@n{CONVERGENCE_NS[-1]}={sups[-1]:.3e}" for beta, sups in sups_by_beta.items()
-    )
-    if not monotone:
-        return "algebraic", CONVERGENCE_TOL, CONVERGENCE_TOL, "sup sequence not decreasing; " + detail
-    return "algebraic", final, CONVERGENCE_TOL, detail
+def _check_t2_5(source) -> tuple[float, str]:
+    cells = []
+    for law in (g_mid(make(alpha)) for make in (frechet, weibull) for alpha in (1.0, 2.0)):
+        grid = quantile_grid(law)
+        for p in PS:
+            b = semi_stable_scale(p, law.exponent)
+            cells.append(sup_norm_grid(lambda x: geo_max_cdf(law, p, x), lambda x: law.cdf(b * x), grid))
+    return _worst(cells), ""
 
 
-def _check_t2_3(source) -> tuple[str, float, float, str]:
-    sups = {
-        beta: _convergence_sups(
-            lambda n, x, beta=beta: limit_geo_gamma_cdf(beta, n, _E1, x),
-            ggamma_mid(beta, _E1),
-        )
-        for beta in BETAS
-    }
-    return _convergence_report(sups)
-
-
-def _check_t2_4(source) -> tuple[str, float, float, str]:
-    sups = {
-        beta: _convergence_sups(
-            lambda n, x, beta=beta: n_max_cdf(ggamma_mid(beta / n, _E1), n, x),
-            gamma_mid(beta, _E1),
-        )
-        for beta in BETAS
-    }
-    return _convergence_report(sups)
-
-
-def _check_t2_5(source) -> tuple[str, float, float, str]:
-    worst = 0.0
-    for make in (frechet, weibull):
-        for alpha in (1.0, 2.0):
-            law = g_mid(make(alpha))
-            grid = quantile_grid(law)
-            for p in PS:
-                b = semi_stable_scale(p, law.exponent)
-                diff = np.abs(geo_max_cdf(law, p, grid) - law.cdf(b * grid))
-                worst = max(worst, float(np.max(diff)))
-    return "algebraic", worst, ALGEBRAIC_TOL, ""
-
-
-def _check_t2_6(source) -> tuple[str, float, float, str]:
+def _check_t2_6(source) -> tuple[float, str]:
     h = expr_from_law(g_mid(_E1))
     grid = quantile_grid(g_mid(_E1))
-    worst = 0.0
-    for p in PS:
-        scaled = scale_exponent(h, 1.0 / p)
-        diff = np.abs(scaled.cdf(grid) - geo_max_cdf(h, p, grid))
-        worst = max(worst, float(np.max(diff)))
+    cells = [sup_norm_grid(scale_exponent(h, 1.0 / p).cdf, lambda x: geo_max_cdf(h, p, x), grid) for p in PS]
     # sub-unit scales fall outside the geometric regime but must stay d.f.s
-    worst = max(worst, cdf_validity_gap(scale_exponent(h, 0.5), grid, 0.0, np.inf))
-    return "algebraic", worst, ALGEBRAIC_TOL, ""
+    cells.append(cdf_validity_gap(scale_exponent(h, 0.5), grid, 0.0, np.inf))
+    return _worst(cells), ""
 
 
-def _check_t2_7(source) -> tuple[str, float, float, str]:
-    worst = 0.0
+def _check_t2_7(source) -> tuple[float, str]:
+    cells = []
     for beta in BETAS:
         for p in PS:
-            start = ggamma_mid(beta, _E1)
             target = ggamma_mid(beta / p, _E1)
-            grid = quantile_grid(target)
-            diff = np.abs(geo_max_cdf(start, p, grid) - target.cdf(grid))
-            worst = max(worst, float(np.max(diff)))
-    return "algebraic", worst, ALGEBRAIC_TOL, ""
+            cells.append(sup_norm_grid(lambda x: geo_max_cdf(ggamma_mid(beta, _E1), p, x), target.cdf, quantile_grid(target)))
+    return _worst(cells), ""
 
 
-def _check_r2_1(source) -> tuple[str, float, float, str]:
+def _check_r2_1(source) -> tuple[float, str]:
     once = iterate_transform(expr_from_law(base_law(_E1)))
     twice = iterate_transform(once)
-    d1 = sup_norm_grid(once.cdf, g_mid(_E1).cdf, quantile_grid(g_mid(_E1)))
-    d2 = sup_norm_grid(twice.cdf, ggamma_mid(1.0, _E1).cdf, quantile_grid(ggamma_mid(1.0, _E1)))
-    worst = max(d1, d2)
+    cells = [
+        sup_norm_grid(once.cdf, g_mid(_E1).cdf, quantile_grid(g_mid(_E1))),
+        sup_norm_grid(twice.cdf, ggamma_mid(1.0, _E1).cdf, quantile_grid(ggamma_mid(1.0, _E1))),
+    ]
     for law in (base_law(_E1), g_mid(_E1), gamma_mid(2.0, _E1), ggamma_mid(2.0, _E1)):
         expr = expr_from_law(law)
         grid = quantile_grid(law)
         for _ in range(3):
             expr = iterate_transform(expr)
-            worst = max(worst, cdf_validity_gap(expr, grid, 0.0, np.inf))
-    return "algebraic", worst, ALGEBRAIC_TOL, ""
+            cells.append(cdf_validity_gap(expr, grid, 0.0, np.inf))
+    return _worst(cells), ""
 
 
 # -- Monte Carlo checks --------------------------------------------------
 
 
-def _check_t3_1(source) -> tuple[str, float, float, str]:
-    worst, stats = 0.0, []
-    for cell, beta in enumerate(BETAS):
-        spec = ExtremalSpec(gamma_mid(beta, _E1))
-        rng = source.substream(cell).generator()
-        draws = compound_simulate(spec, SubordinatorSpec(SubKind.GAMMA), 1.0, rng, MC_SIZE)
-        report = ks_one_sample(draws, ggamma_mid(beta, _E1))
-        stats.append(f"beta={beta:g}:{report.statistic:.5f}")
-        worst = max(worst, report.statistic)
-    return "monte-carlo", worst, critical_one_sample(MC_SIZE), " ".join(stats)
+def _mc_cell(draws, beta: float, exponent=_E1) -> KSReport:
+    """The one Monte Carlo cell test, of T3_1-T3_3 and of `maxdiv ar1 --check`:
+    the KS report of the draws against ggamma_mid(beta, exponent)."""
+    return ks_one_sample(draws, ggamma_mid(beta, exponent))
 
 
-def _check_t3_2(source) -> tuple[str, float, float, str]:
-    worst, stats = 0.0, []
-    spec = ExtremalSpec(base_law(_E1))
-    for cell, beta in enumerate(BETAS):
-        sub = SubordinatorSpec(SubKind.GGAMMA_UNIT, beta)
-        rng = source.substream(cell).generator()
-        draws = compound_simulate(spec, sub, 1.0, rng, MC_SIZE)
-        report = ks_one_sample(draws, ggamma_mid(beta, _E1))
-        stats.append(f"beta={beta:g}:{report.statistic:.5f}")
-        worst = max(worst, report.statistic)
-    return "monte-carlo", worst, critical_one_sample(MC_SIZE), " ".join(stats)
+def _mc_lattice(source, cells) -> list[KSReport]:
+    """KS reports of the (draw, beta) cells in order; cell i tests
+    draw(rng, MC_SIZE) with rng from source.substream(i)."""
+    reports = []
+    for i, (draw, beta) in enumerate(cells):
+        # draws stays bound until the next cell has drawn: freeing it first
+        # lets the heap shrink and regrow between cells, 3x the page faults
+        draws = draw(source.substream(i).generator(), MC_SIZE)
+        reports.append(_mc_cell(draws, beta))
+    return reports
 
 
-def _check_t3_3(source) -> tuple[str, float, float, str]:
-    tol = critical_one_sample(MC_SIZE)
-    worst = 0.0
-    cells = [(beta, p) for beta in BETAS for p in PS]
-    for cell, (beta, p) in enumerate(cells):
-        spec = Ar1Spec(p, beta, _E1)
-        rng = source.substream(cell).generator()
-        draws = ar1_ensemble(spec, AR1_LAG, rng, MC_SIZE)
-        report = ks_one_sample(draws, ggamma_mid(beta, _E1))
-        worst = max(worst, report.statistic)
+def _ar1_draw(spec: Ar1Spec, innovation_beta: float | None = None):
+    """draw(rng, n): the values at lag AR1_LAG of n independent chains."""
+    return partial(ar1_ensemble, spec, AR1_LAG, innovation_beta=innovation_beta)
+
+
+def _compound_check(source, specs) -> tuple[float, str]:
+    """Unit-time draws of the (process, subordinator) pair specs(beta) follow ggamma_mid(beta)."""
+    reports = _mc_lattice(source, [(partial(compound_simulate, *specs(beta), 1.0), beta) for beta in BETAS])
+    detail = " ".join(f"beta={beta:g}:{r.statistic:.5f}" for beta, r in zip(BETAS, reports))
+    return _worst(r.statistic for r in reports), detail
+
+
+def _check_t3_1(source) -> tuple[float, str]:
+    return _compound_check(source, lambda beta: (ExtremalSpec(gamma_mid(beta, _E1)), SubordinatorSpec(SubKind.GAMMA)))
+
+
+def _check_t3_2(source) -> tuple[float, str]:
+    return _compound_check(source, lambda beta: (ExtremalSpec(base_law(_E1)), SubordinatorSpec(SubKind.GGAMMA_UNIT, beta)))
+
+
+def _check_t3_3(source) -> tuple[float, str]:
+    cells = [(_ar1_draw(Ar1Spec(p, beta, _E1)), beta) for beta in BETAS for p in PS]
     # negative control: beta/p innovations drive the chain off its marginal
-    control_spec = Ar1Spec(0.5, 1.0, _E1)
-    control = ar1_ensemble(
-        control_spec, AR1_LAG, source.substream(len(cells)).generator(), MC_SIZE,
-        innovation_beta=control_spec.marginal_beta / control_spec.p,
-    )
-    control_report = ks_one_sample(control, ggamma_mid(1.0, _E1))
+    control = Ar1Spec(0.5, 1.0, _E1)
+    cells.append((_ar1_draw(control, control.marginal_beta / control.p), control.marginal_beta))
+    *stationary, control_report = _mc_lattice(source, cells)
+    worst = _worst(r.statistic for r in stationary)
     detail = f"stationary worst={worst:.5f}; beta/p control={control_report.statistic:.5f} must fail"
-    if control_report.passed:
-        return "monte-carlo", tol, tol, detail + "; control unexpectedly passed"
-    return "monte-carlo", worst, tol, detail
+    if not control_report.statistic >= MC_TOL:
+        return MC_TOL, detail + "; control unexpectedly passed"
+    return worst, detail
 
 
+# id -> (mode, tolerance, check); the order fixes each check's stream
 _CHECKS = {
-    "T2_1": _check_t2_1,
-    "T2_2": _check_t2_2,
-    "T2_3": _check_t2_3,
-    "T2_4": _check_t2_4,
-    "T2_5": _check_t2_5,
-    "T2_6": _check_t2_6,
-    "T2_7": _check_t2_7,
-    "R2_1": _check_r2_1,
-    "T3_1": _check_t3_1,
-    "T3_2": _check_t3_2,
-    "T3_3": _check_t3_3,
+    "T2_1": ("algebraic", ALGEBRAIC_TOL, _check_t2_1),
+    "T2_2": ("algebraic", ALGEBRAIC_TOL, _check_t2_2),
+    "T2_3": ("algebraic", CONVERGENCE_TOL, _check_t2_3),
+    "T2_4": ("algebraic", CONVERGENCE_TOL, _check_t2_4),
+    "T2_5": ("algebraic", ALGEBRAIC_TOL, _check_t2_5),
+    "T2_6": ("algebraic", ALGEBRAIC_TOL, _check_t2_6),
+    "T2_7": ("algebraic", ALGEBRAIC_TOL, _check_t2_7),
+    "R2_1": ("algebraic", ALGEBRAIC_TOL, _check_r2_1),
+    "T3_1": ("monte-carlo", MC_TOL, _check_t3_1),
+    "T3_2": ("monte-carlo", MC_TOL, _check_t3_2),
+    "T3_3": ("monte-carlo", MC_TOL, _check_t3_3),
 }
+
+CHECK_IDS = tuple(_CHECKS)
 
 
 def verify(theorem_id: str, seed: int = 0) -> VerificationReport:
-    """Run one registered check; each check owns one rng stream per seed.
-
-    Monte Carlo checks split their stream into one substream per lattice
-    cell, so a cell's draws do not depend on lattice iteration order.
-    """
+    """Run one registered check; each check owns one rng stream per seed."""
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown check {theorem_id!r}; known: {', '.join(CHECK_IDS)}")
-    stream = STREAM_BLOCK + CHECK_IDS.index(theorem_id)
-    mode, discrepancy, tolerance, detail = _CHECKS[theorem_id](RandomSource(seed, stream))
+    mode, tolerance, check = _CHECKS[theorem_id]
+    discrepancy, detail = check(RandomSource(seed, STREAM_BLOCK + CHECK_IDS.index(theorem_id)))
     return VerificationReport(
         theorem_id=theorem_id,
         mode=mode,

@@ -157,7 +157,8 @@ def test_n_max_cdf_is_the_nth_power():
 def test_n_max_cdf_accepts_expressions_and_validates_n():
     expr = expr_from_law(g_mid(E1))
     assert n_max_cdf(expr, 2, 1.0) == pytest.approx(0.25, rel=0, abs=1e-15)
-    for bad in (0, -1, 2.5):
+    assert n_max_cdf(expr, 2.0, 1.0) == n_max_cdf(expr, 2, 1.0)
+    for bad in (0, -1, 2.5, np.inf, np.nan):
         with pytest.raises(ValueError):
             n_max_cdf(expr, bad, 1.0)
 
@@ -201,8 +202,10 @@ def test_limit_scheme_members_are_dfs_and_validated():
     assert np.all(np.diff(values) >= 0.0)
     with pytest.raises(ValueError):
         limit_geo_gamma_cdf(0.0, 10, E1, 1.0)
-    with pytest.raises(ValueError):
-        limit_geo_gamma_cdf(1.0, 0, E1, 1.0)
+    assert limit_geo_gamma_cdf(2.0, 7.0, E1, 1.0) == limit_geo_gamma_cdf(2.0, 7, E1, 1.0)
+    for bad in (0, 2.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            limit_geo_gamma_cdf(1.0, bad, E1, 1.0)
 
 
 def test_limit_scheme_is_zero_where_its_power_term_overflows():

@@ -130,6 +130,8 @@ def test_path_grid_validation():
     with pytest.raises(ValueError):
         PathGrid(np.array([2.0, 1.0]), np.array([1.0, 2.0]))  # strictly increasing
     with pytest.raises(ValueError):
+        PathGrid(np.array([1.0, np.inf]), np.array([1.0, 2.0]))  # finite
+    with pytest.raises(ValueError):
         PathGrid(np.array([1.0, 2.0]), np.array([1.0]))  # shape mismatch
 
 

@@ -150,12 +150,26 @@ def test_validity_gap_is_zero_for_true_dfs():
 
 def test_validity_gap_flags_broken_dfs():
     grid = np.linspace(0.1, 10.0, 50)
-    # the deliberately broken callables go nan at the infinite top probe,
-    # which numpy warns about; the gap must still come out positive
-    with np.errstate(invalid="ignore"):
-        # not monotone
-        assert cdf_validity_gap(lambda x: np.abs(np.sin(x)), grid, 0.0, np.inf) > 0.0
-        # escapes [0, 1]
-        assert cdf_validity_gap(lambda x: np.asarray(x) * 0.0 + 1.5, grid, 0.0, np.inf) > 0.0
-        # wrong bottom limit
-        assert cdf_validity_gap(lambda x: np.asarray(x) * 0.0 + 0.5, grid, 0.0, np.inf) > 0.0
+    # the broken callables stay finite at both probes, so each case is
+    # flagged by its own violation rather than by a NaN
+    # not monotone (|sin| is 0 at the bottom probe and 1 at the top one)
+    assert cdf_validity_gap(lambda x: np.abs(np.sin(np.minimum(x, 7.5 * np.pi))), grid, 0.0, np.inf) > 0.0
+    # escapes [0, 1]
+    assert cdf_validity_gap(lambda x: np.full(np.shape(x), 1.5), grid, 0.0, np.inf) > 0.0
+    # wrong bottom limit
+    assert cdf_validity_gap(lambda x: np.full(np.shape(x), 0.5), grid, 0.0, np.inf) > 0.0
+
+
+def test_validity_gap_is_nan_where_the_df_is_nan():
+    # a NaN value must not pass for a clean d.f.: the gap is NaN, so
+    # gap < tolerance fails
+    law = g_mid(E1)
+    grid = quantile_grid(law)
+    holes = {
+        "everywhere": lambda x: np.full(np.shape(x), np.nan),
+        "one grid point": lambda x: np.where(x == grid[10], np.nan, law.cdf(x)),
+        "bottom probe": lambda x: np.where(x == 0.0, np.nan, law.cdf(x)),
+        "top probe": lambda x: np.where(np.isinf(x), np.nan, law.cdf(x)),
+    }
+    for where, fn in holes.items():
+        assert np.isnan(cdf_validity_gap(fn, grid, 0.0, np.inf)), where

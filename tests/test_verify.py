@@ -1,13 +1,27 @@
 """Verification registry: report structure, determinism, pass behavior."""
 
+import dataclasses
 import importlib
+import math
 
+import numpy as np
 import pytest
 
 from maxdiv import (
     CHECK_IDS,
+    Ar1Spec,
+    ExtremalSpec,
+    RandomSource,
+    SubKind,
+    SubordinatorSpec,
     VerificationReport,
+    ar1_ensemble,
+    compound_simulate,
     format_report,
+    frechet,
+    gamma_mid,
+    ggamma_mid,
+    ks_one_sample,
     report_to_dict,
     verify,
     verify_all,
@@ -18,6 +32,7 @@ verify_module = importlib.import_module("maxdiv.verify")
 ALGEBRAIC_IDS = ("T2_1", "T2_2", "T2_5", "T2_6", "T2_7", "R2_1")
 CONVERGENCE_IDS = ("T2_3", "T2_4")
 MONTE_CARLO_IDS = ("T3_1", "T3_2", "T3_3")
+E1 = frechet(1.0)
 
 
 def test_registry_lists_eleven_checks():
@@ -109,3 +124,81 @@ def test_verify_all_runs_every_check_in_order():
 
 def test_checks_draw_from_a_reserved_stream_block():
     assert verify_module.STREAM_BLOCK >= len(CHECK_IDS)
+
+
+# -- NaN cells and the stream layout ---------------------------------------
+
+
+def _nan_geo_max_at(p_bad, real):
+    def geo_max_cdf(law, p, x):
+        out = real(law, p, x)
+        return np.full(np.shape(out), np.nan) if p == p_bad else out
+    return geo_max_cdf
+
+
+@pytest.mark.parametrize("theorem_id", ("T2_5", "T2_6", "T2_7"))
+def test_a_nan_geo_max_cell_fails_its_check(theorem_id, monkeypatch):
+    monkeypatch.setattr(verify_module, "geo_max_cdf", _nan_geo_max_at(0.5, verify_module.geo_max_cdf))
+    report = verify(theorem_id, seed=0)
+    assert math.isnan(report.discrepancy)
+    assert not report.passed, format_report(report)
+
+
+def _spy_ks(monkeypatch, nan_call=None):
+    """Record every KS report of the registry; call nan_call reports NaN."""
+    real, reports = verify_module.ks_one_sample, []
+
+    def ks_one_sample(samples, cdf, alpha=0.01):
+        report = real(samples, cdf, alpha)
+        if len(reports) == nan_call:
+            report = dataclasses.replace(report, statistic=math.nan, passed=False)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(verify_module, "ks_one_sample", ks_one_sample)
+    return reports
+
+
+def test_a_nan_monte_carlo_cell_fails_its_check(monkeypatch):
+    _spy_ks(monkeypatch, nan_call=1)  # the beta=1 cell
+    report = verify("T3_1", seed=0)
+    assert "beta=1:nan" in report.detail
+    assert math.isnan(report.discrepancy)
+    assert not report.passed, format_report(report)
+
+
+def test_a_nan_control_statistic_fails_t3_3(monkeypatch):
+    _spy_ks(monkeypatch, nan_call=9)  # the beta/p control, the last cell
+    report = verify("T3_3", seed=0)
+    assert "control=nan must fail; control unexpectedly passed" in report.detail
+    assert not report.passed, format_report(report)
+
+
+def test_verify_all_runs_sixteen_ks_tests(monkeypatch):
+    reports = _spy_ks(monkeypatch)
+    verify_all(seed=1)
+    assert len(reports) == 16
+    assert all(r.n == verify_module.MC_SIZE for r in reports)
+
+
+def test_t3_1_cell_is_one_substream_of_its_check_stream():
+    # T3_1 is check 8 of the registry; its beta=1 cell is lattice cell 1
+    seed = 42
+    rng = RandomSource(seed, verify_module.STREAM_BLOCK + 8).substream(1).generator()
+    spec = ExtremalSpec(gamma_mid(1.0, E1))
+    draws = compound_simulate(spec, SubordinatorSpec(SubKind.GAMMA), 1.0, rng, verify_module.MC_SIZE)
+    statistic = ks_one_sample(draws, ggamma_mid(1.0, E1)).statistic
+    assert f"beta=1:{statistic:.5f}" in verify("T3_1", seed).detail
+
+
+def test_t3_3_control_is_its_last_lattice_cell(monkeypatch):
+    # T3_3 is check 10; nine stationary cells come first, the control is cell 9
+    seed = 42
+    spec = Ar1Spec(0.5, 1.0, E1)
+    rng = RandomSource(seed, verify_module.STREAM_BLOCK + 10).substream(9).generator()
+    draws = ar1_ensemble(spec, 100, rng, verify_module.MC_SIZE, innovation_beta=2.0)
+    statistic = ks_one_sample(draws, ggamma_mid(1.0, E1)).statistic
+    reports = _spy_ks(monkeypatch)
+    detail = verify("T3_3", seed).detail
+    assert reports[-1].statistic == statistic
+    assert f"beta/p control={statistic:.5f} must fail" in detail

@@ -1,0 +1,64 @@
+"""Byte-identity digests of a fixed matrix of seeded `maxdiv` CLI runs.
+
+Prints one "sha256  argv" line per output target: the stdout of every
+run, plus the file of every run that writes --out.  A run that exits
+non-zero is marked "(exit N)".  Run it on two checkouts and diff:
+
+    python tools/golden.py > new.txt
+    python tools/golden.py /path/to/base/checkout > old.txt
+    diff old.txt new.txt
+
+The optional argument is the root of the checkout whose src/ is run
+(default: the checkout holding this script).  The matrix takes a few
+seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUT = "{out}"  # replaced by a temporary file, which is hashed too
+
+MATRIX = (
+    "table",
+    "table --kind gamma-mid --family weibull --alpha 2 --beta 0.5 --qgrid 0.001:0.999:500",
+    "sample --kind ggamma-mid --beta 0.5 --n 20000 --seed 7 --route inverse",
+    "sample --kind gamma-mid --family weibull --alpha 2 --beta 2 --n 20000 --seed 7 --route latent",
+    "sample --kind g-mid --family gumbel --n 20000 --seed 7 --stream 3 --route latent",
+    "ep --path --times 0.5:3:2000 --seed 3",
+    "ep --path --base ggamma-mid --beta 0.5 --times 0.1:10:50 --seed 3 --stream 1",
+    "ep --compound gamma --base gamma-mid --beta 2 --t 1.5 --n 20000 --seed 3",
+    "ep --compound ggamma --sub-beta 0.5 --n 20000 --seed 3",
+    "ar1 --p 0.3 --beta 2 --steps 5000 --seed 5",
+    "ar1 --p 0.5 --beta 1 --check --seed 5",
+    "ar1 --p 0.2 --beta 0.5 --family weibull --alpha 2 --check --seed 5",
+    "ar1 --p 0.5 --beta 1 --innovation-beta 2 --check --seed 5",
+    f"verify all --seed 42 --out {OUT}",
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(root: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for line in MATRIX:
+            argv = line.replace(OUT, str(out)).split()
+            run = subprocess.run([sys.executable, "-m", "maxdiv.cli", *argv], env=env, capture_output=True, cwd=tmp)
+            code = f"  (exit {run.returncode})" if run.returncode else ""
+            print(f"{_sha(run.stdout)}  maxdiv {line.replace(f' --out {OUT}', '')}{code}", flush=True)
+            if OUT in line:
+                print(f"{_sha(out.read_bytes())}  maxdiv {line}", flush=True)
+                out.unlink()
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve())
