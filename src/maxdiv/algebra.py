@@ -30,8 +30,7 @@ import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability, sample_size
 from .exponents import Exponent, Family, _as_array, _unwrap
-from .laws import _KINDS, MaxLaw, _quantile_w
-from .rng import uniform_open
+from .laws import _KINDS, MaxLaw, _neg_log_uniform, _quantile_w
 
 __all__ = [
     "CdfExpr",
@@ -111,9 +110,9 @@ def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = 
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
     n = sample_size(1 if size is None else size)
-    w = -np.log(uniform_open(rng, n))
+    w = _neg_log_uniform(rng, n)
     if p < 1.0:
-        w = np.log1p(p * np.expm1(w))
+        np.log1p(np.multiply(p, np.expm1(w, out=w), out=w), out=w)
     out = _quantile_w(law, w)
     return float(out[0]) if size is None else out
 

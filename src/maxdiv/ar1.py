@@ -165,5 +165,6 @@ def ar1_ensemble(
     if lag == 0:
         return x0
     back = rng.geometric(spec.p, n_chains)
-    x = _innovations(spec, rng, n_chains, innovation_beta, k=np.minimum(back, lag))
-    return np.where(back > lag, np.maximum(x, x0), x)
+    no_reset = back > lag
+    x = _innovations(spec, rng, n_chains, innovation_beta, k=np.minimum(back, lag, out=back))
+    return np.maximum(x, x0, out=x, where=no_reset)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,18 +70,23 @@ class Exponent:
         family-dependent 0 or 1.
         """
         xs, scalar = _as_array(x)
-        with np.errstate(over="ignore"):
+        # The formula runs over the whole array, then the entries outside
+        # the support are overwritten; NaN passes through both.  |x| is x on
+        # the frechet support and -x on the weibull one, and exp is never
+        # negative, so the abs changes only the sign of a NaN: every family
+        # returns the positive NaN, whatever the sign of the NaN it got.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.family is Family.FRECHET:
-                out = np.full(xs.shape, np.inf)
-                pos = xs > 0
-                out[pos] = xs[pos] ** -self.alpha
+                out = np.abs(xs)
+                out **= -self.alpha
+                out[xs <= 0] = np.inf
             elif self.family is Family.WEIBULL:
-                out = np.zeros(xs.shape)
-                neg = xs < 0
-                out[neg] = (-xs[neg]) ** self.alpha
+                out = np.abs(xs)
+                out **= self.alpha
+                out[xs >= 0] = 0.0
             else:
-                out = np.exp(-xs)
-        out[np.isnan(xs)] = np.nan
+                out = np.negative(xs)
+                np.abs(np.exp(out, out=out), out=out)
         return _unwrap(out, scalar)
 
     def inverse(self, s):
@@ -90,16 +96,25 @@ class Exponent:
         if np.any(~np.isfinite(ss)) or np.any(ss <= 0):
             raise ValueError("inverse requires finite s > 0")
         with np.errstate(over="ignore"):
-            return _unwrap(self._inverse_raw(ss), scalar)
+            return _unwrap(self._inverse_raw(ss.copy()), scalar)
 
-    def _inverse_raw(self, s: np.ndarray) -> np.ndarray:
-        # unchecked path: s = +inf maps to the support bottom by IEEE limits
+    def _inverse_raw(self, s):
+        # unchecked path: s = +inf maps to the support bottom by IEEE limits.
+        # An array s is overwritten with the result, so callers pass arrays
+        # they allocated; a numpy scalar s (one draw) gives a new scalar.
+        # Python's ** is kept, in place or not, because np.power differs in
+        # the last bit: an array's ** turns the exponents -1, 0.5 and 2 into
+        # reciprocal, sqrt and square, and a numpy scalar's ** is libm pow
+        # where np.power may run a vector kernel.
+        out = s if np.ndim(s) else None
         if self.family is Family.FRECHET:
-            return s ** (-1.0 / self.alpha)
+            s **= -1.0 / self.alpha
+            return s
         if self.family is Family.WEIBULL:
-            return -(s ** (1.0 / self.alpha))
+            s **= 1.0 / self.alpha
+            return np.negative(s, out=out)
         with np.errstate(divide="ignore"):
-            return -np.log(s)
+            return np.negative(np.log(s, out=out), out=out)
 
     def support(self) -> Support:
         if self.family is Family.FRECHET:
@@ -108,14 +123,17 @@ class Exponent:
             return Support(-np.inf, 0.0)
         return Support(-np.inf, np.inf)
 
-    def _min_inside(self) -> float:
-        # smallest representable x at which psi is still finite; quantile
-        # transforms park otherwise-unrepresentable lower-tail values here
-        with np.errstate(over="ignore"):
-            x = float(self._inverse_raw(np.asarray(np.finfo(float).max)))
-        while not np.isfinite(self.eval(x)):
-            x = np.nextafter(x, np.inf)
-        return x
+
+# bounded: alpha is any positive float, so the exponents a process meets are unbounded
+@lru_cache(maxsize=64)
+def _min_inside(exponent: Exponent) -> float:
+    """Smallest representable x at which psi is still finite; quantile
+    transforms park otherwise-unrepresentable lower-tail values here."""
+    with np.errstate(over="ignore"):
+        x = float(exponent._inverse_raw(np.asarray(np.finfo(float).max)))
+    while not np.isfinite(exponent.eval(x)):
+        x = np.nextafter(x, np.inf)
+    return x
 
 
 def frechet(alpha: float = 1.0) -> Exponent:

@@ -27,6 +27,9 @@ __all__ = [
 # c/sqrt(n) one-sample and c*sqrt((n+m)/(n*m)) two-sample
 KS_COEFFICIENTS = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
 
+# points per block of the one-sample statistic: 64 KB of float64
+_KS_BLOCK = 2**13
+
 
 def _coefficient(alpha: float) -> float:
     try:
@@ -77,11 +80,29 @@ def ks_one_sample(samples, cdf, alpha: float = 0.01) -> KSReport:
     n = xs.size
     if n < 1:
         raise ValueError("ks_one_sample needs at least one sample")
-    f = np.asarray(fn(xs), dtype=float)
-    steps = np.arange(1, n + 1) / n
-    stat = float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+    stat = _ks_distance(np.asarray(fn(xs), dtype=float))
     crit = critical_one_sample(n, alpha)
     return KSReport(stat, n, None, crit, alpha, stat < crit)
+
+
+def _ks_distance(f: np.ndarray) -> float:
+    """Largest of (i+1)/n - f[i] and f[i] - ((i+1)/n - 1/n) over i, for f
+    the target d.f. at the sorted sample; NaN if any f[i] is NaN.
+
+    Runs over _KS_BLOCK points at a time: its two temporaries stay in
+    cache, where whole-sample differences take n-arrays that the heap
+    hands back to the system after every call and faults in again.
+    """
+    n = f.size
+    maxima = []
+    for lo in range(0, n, _KS_BLOCK):
+        steps = np.arange(lo + 1.0, min(lo + _KS_BLOCK, n) + 1.0)
+        steps /= n
+        block = f[lo : lo + steps.size]
+        maxima.append(np.max(steps - block))
+        steps -= 1.0 / n
+        maxima.append(np.max(np.subtract(block, steps, out=steps)))
+    return float(np.max(maxima))
 
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> KSReport:

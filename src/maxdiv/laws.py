@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import open_unit, positive_finite, sample_size
-from .exponents import Exponent, Family, _as_array, _unwrap
+from .exponents import Exponent, Family, _as_array, _min_inside, _unwrap
 from .rng import uniform_open
 
 __all__ = [
@@ -63,11 +63,19 @@ class LawKind(str, Enum):
 
 @dataclass(frozen=True)
 class _Kind:
-    """What a law kind is, as functions of s = psi(x) and the shape b."""
+    """What a law kind is, as functions of s = psi(x) and the shape b.
+
+    Every form overwrites the array it is given and returns it: neg_log
+    and cdf get the array Exponent.eval returned, s_of_w gets out=w, the
+    draws' own buffer.  For a single draw s_of_w gets out=None and a
+    numpy scalar, and computes out of place.  Each form applies the
+    operations of its formula in the formula's order, so its results
+    equal the out-of-place formula's bit for bit.
+    """
 
     neg_log: Callable  # (s, b) -> -log F, with log1p so deep tails do not cancel
     cdf: Callable  # (s, b) -> F in closed form, not exp(-neg_log)
-    s_of_w: Callable  # (w, b) -> the s at which -log F = w
+    s_of_w: Callable  # (w, b, out) -> the s at which -log F = w
     mixing: Callable | None  # (b, rng, n) -> latent mixing times; None if there is none
     shaped: bool = True  # False: beta is pinned to 1
     gmid_scale: float | None = None  # a, when F has the form 1/(1 + a*s)
@@ -78,29 +86,29 @@ class _Kind:
 _KINDS = {
     LawKind.BASE: _Kind(
         neg_log=lambda s, b: s,
-        cdf=lambda s, b: np.exp(-s),
-        s_of_w=lambda w, b: w,
+        cdf=lambda s, b: np.exp(np.negative(s, out=s), out=s),
+        s_of_w=lambda w, b, out: w,
         mixing=None,
         shaped=False,
     ),
     LawKind.GMID: _Kind(
-        neg_log=lambda s, b: np.log1p(s),
-        cdf=lambda s, b: 1.0 / (1.0 + s),
-        s_of_w=lambda w, b: np.expm1(w),
+        neg_log=lambda s, b: np.log1p(s, out=s),
+        cdf=lambda s, b: np.divide(1.0, np.add(1.0, s, out=s), out=s),
+        s_of_w=lambda w, b, out: np.expm1(w, out=out),
         mixing=lambda b, rng, n: rng.standard_exponential(n),
         shaped=False,
         gmid_scale=1.0,
     ),
     LawKind.GAMMA_MID: _Kind(
-        neg_log=lambda s, b: b * np.log1p(s),
-        cdf=lambda s, b: np.exp(-b * np.log1p(s)),
-        s_of_w=lambda w, b: np.expm1(w / b),
+        neg_log=lambda s, b: np.multiply(b, np.log1p(s, out=s), out=s),
+        cdf=lambda s, b: np.exp(np.multiply(-b, np.log1p(s, out=s), out=s), out=s),
+        s_of_w=lambda w, b, out: np.expm1(np.divide(w, b, out=out), out=out),
         mixing=lambda b, rng, n: rng.gamma(b, 1.0, n),
     ),
     LawKind.GGAMMA_MID: _Kind(
-        neg_log=lambda s, b: np.log1p(b * np.log1p(s)),
-        cdf=lambda s, b: 1.0 / (1.0 + b * np.log1p(s)),
-        s_of_w=lambda w, b: np.expm1(np.expm1(w) / b),
+        neg_log=lambda s, b: np.log1p(np.multiply(b, np.log1p(s, out=s), out=s), out=s),
+        cdf=lambda s, b: np.divide(1.0, np.add(1.0, np.multiply(b, np.log1p(s, out=s), out=s), out=s), out=s),
+        s_of_w=lambda w, b, out: np.expm1(np.divide(np.expm1(w, out=out), b, out=out), out=out),
         mixing=lambda b, rng, n: sample_ggamma(b, rng, n),
     ),
 }
@@ -167,19 +175,32 @@ def _quantile_w(law: MaxLaw, w, k=None):
     """Quantile evaluated at u = exp(-w), w > 0, without forming u; with
     k, the quantile of F**k, i.e. of law at u = exp(-w/k).
 
-    Working in w keeps the transform stable when u is close to either
-    endpoint.  Quantiles beyond float range are mapped to the closest
-    representable point strictly above the support bottom, so samples
-    never sit on the bottom itself and empirical d.f.s stay aligned
-    with the law's d.f. at the smallest representable values.
+    w is a float array the caller allocated, which is overwritten with
+    the result, or a numpy scalar (one draw), whose result is a new
+    numpy scalar.  Working in w keeps the transform stable when u is
+    close to either endpoint.  Quantiles beyond float range are mapped
+    to the closest representable point strictly above the support
+    bottom, so samples never sit on the bottom itself and empirical
+    d.f.s stay aligned with the law's d.f. at the smallest
+    representable values.
     """
     w = np.asarray(w, dtype=float)
+    out = w if w.ndim else None
     with np.errstate(over="ignore", divide="ignore"):
         if k is not None:
-            w = w / k
-        s = _KINDS[law.kind].s_of_w(w, law.beta)
+            w = np.divide(w, k, out=out)
+        s = _KINDS[law.kind].s_of_w(w, law.beta, out)
         x = law.exponent._inverse_raw(s)
     return _nudge_off_bottom(law.exponent, x)
+
+
+def _neg_log_uniform(rng: np.random.Generator, n):
+    """-log(U) for open-interval uniforms U, in the buffer the uniforms
+    were drawn into (one numpy scalar when n is None)."""
+    u = uniform_open(rng, n)
+    if n is None:
+        return -np.log(u)
+    return np.negative(np.log(u, out=u), out=u)
 
 
 def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
@@ -190,15 +211,17 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
     the call; a k that underflowed to 0.0 yields the support bottom,
     which _quantile_w moves to the smallest point inside it.
     """
-    return _quantile_w(law, -np.log(uniform_open(rng, n)), k)
+    return _quantile_w(law, _neg_log_uniform(rng, n), k)
 
 
 def _nudge_off_bottom(exponent: Exponent, x):
-    bottom = exponent.support().lower
-    collapsed = x == bottom
+    collapsed = x == exponent.support().lower
     if not np.any(collapsed):
         return x
-    return np.where(collapsed, exponent._min_inside(), x)
+    if not np.ndim(x):
+        return _min_inside(exponent)
+    x[collapsed] = _min_inside(exponent)
+    return x
 
 
 def quantile_neg_log(law: MaxLaw, w):
@@ -206,7 +229,7 @@ def quantile_neg_log(law: MaxLaw, w):
     ws, scalar = _as_array(w)
     if np.any(~(ws > 0.0)):
         raise ValueError("quantile_neg_log requires w > 0")
-    return _unwrap(_quantile_w(law, ws), scalar)
+    return _unwrap(_quantile_w(law, ws.copy()), scalar)
 
 
 def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None):

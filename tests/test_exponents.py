@@ -122,3 +122,41 @@ def test_exponent_equality_and_hash():
     assert frechet(2.0) == frechet(2.0)
     assert frechet(2.0) != frechet(1.0)
     assert len({frechet(1.0), frechet(1.0), gumbel()}) == 2
+
+
+def _masked_eval(exponent, x):
+    """The gather/scatter form of psi: the formula on the support only,
+    the limit value elsewhere, and NaN written over every NaN input."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        if exponent.family is Family.FRECHET:
+            out = np.full(xs.shape, np.inf)
+            pos = xs > 0
+            out[pos] = xs[pos] ** -exponent.alpha
+        elif exponent.family is Family.WEIBULL:
+            out = np.zeros(xs.shape)
+            neg = xs < 0
+            out[neg] = (-xs[neg]) ** exponent.alpha
+        else:
+            out = np.exp(-xs)
+    out[np.isnan(xs)] = np.nan
+    return out
+
+
+TINY = np.finfo(float).tiny
+HUGE = np.finfo(float).max
+EDGES = np.array(
+    [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -3e-320, TINY, -TINY, HUGE, -HUGE]
+    + [1e-300, -1e-300, 0.3, -0.3, 1.0, -1.0, 2.0, -2.5, 709.0, -709.0, 710.0, -710.0, 1e300, -1e300]
+)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.0])
+@pytest.mark.parametrize("make", [frechet, weibull, lambda alpha: gumbel()])
+def test_eval_equals_the_masked_formula_bit_for_bit(make, alpha):
+    # 1 and 2 take numpy's reciprocal/square shortcuts, 0.5 sqrt, 1.7 the general pow
+    e = make(alpha)
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    np.testing.assert_array_equal(bits(e.eval(EDGES)), bits(_masked_eval(e, EDGES)))
+    for x in EDGES:
+        assert bits(e.eval(float(x))) == bits(_masked_eval(e, float(x))[0])

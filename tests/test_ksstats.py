@@ -17,6 +17,7 @@ from maxdiv import (
     quantile_grid,
     sup_norm_grid,
 )
+from maxdiv.ksstats import _KS_BLOCK
 
 E1 = frechet(1.0)
 
@@ -71,6 +72,26 @@ def test_one_sample_statistic_uses_both_step_sides():
     samples = law.quantile(np.array([0.25, 0.75]))
     report = ks_one_sample(samples, law)
     assert report.statistic == pytest.approx(0.25, rel=0, abs=1e-12)
+
+
+def _whole_sample_statistic(samples, cdf):
+    """The one-sample statistic with whole-sample step and difference arrays."""
+    xs = np.sort(samples)
+    f = cdf(xs)
+    steps = np.arange(1, xs.size + 1) / xs.size
+    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / xs.size))))
+
+
+@pytest.mark.parametrize("n", [1, 2, _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1, 3 * _KS_BLOCK + 17, 100_000])
+def test_one_sample_statistic_equals_the_whole_sample_formula(n):
+    law = ggamma_mid(0.5, E1)
+    draws = law.sample_inverse(RandomSource(n, 52).generator(), n)
+    assert ks_one_sample(draws, law).statistic == _whole_sample_statistic(draws, law.cdf)
+    # a NaN in the last block of the d.f. makes the statistic NaN
+    top = np.max(draws)
+    with_nan = lambda x: np.where(x == top, np.nan, law.cdf(x))
+    assert np.isnan(ks_one_sample(draws, with_nan).statistic)
+    assert np.isnan(_whole_sample_statistic(draws, with_nan))
 
 
 def test_one_sample_accepts_law_or_callable():

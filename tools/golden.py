@@ -9,8 +9,8 @@ non-zero is marked "(exit N)".  Run it on two checkouts and diff:
     diff old.txt new.txt
 
 The optional argument is the root of the checkout whose src/ is run
-(default: the checkout holding this script).  The matrix takes a few
-seconds.
+(default: the checkout holding this script).  The matrix takes about
+ten seconds.
 """
 
 from __future__ import annotations
@@ -39,6 +39,21 @@ MATRIX = (
     "ar1 --p 0.2 --beta 0.5 --family weibull --alpha 2 --check --seed 5",
     "ar1 --p 0.5 --beta 1 --innovation-beta 2 --check --seed 5",
     f"verify all --seed 42 --out {OUT}",
+    # alpha 1 and 2 reach numpy's reciprocal and square shortcuts for **; these
+    # rows take the general pow kernel, in arrays and in single numpy scalars
+    "sample --kind base --alpha 1.7 --n 20000 --seed 11 --route inverse",
+    "sample --kind ggamma-mid --alpha 1.7 --beta 0.5 --n 20000 --seed 11 --route inverse",
+    "sample --kind ggamma-mid --alpha 1.7 --beta 0.5 --n 20000 --seed 11 --route latent",
+    "sample --kind gamma-mid --alpha 1.7 --beta 2 --n 20000 --seed 11 --route latent",
+    "sample --kind base --family weibull --alpha 1.7 --n 20000 --seed 11 --route inverse",
+    "sample --kind g-mid --family weibull --alpha 1.7 --n 20000 --seed 11 --route inverse",
+    "sample --kind g-mid --family weibull --alpha 1.7 --n 20000 --seed 11 --route latent",
+    "sample --kind ggamma-mid --family weibull --alpha 1.7 --beta 0.5 --n 20000 --seed 11 --route latent",
+    "table --kind g-mid --family gumbel --grid -5:20:200",
+    "table --kind ggamma-mid --family gumbel --beta 0.5 --qgrid 0.001:0.999:500",
+    "ep --path --family weibull --alpha 1.7 --times 0.5:3:2000 --seed 3",
+    "ar1 --p 0.3 --beta 2 --alpha 1.7 --steps 5000 --seed 5",
+    "ar1 --p 0.5 --beta 1 --alpha 1.7 --check --seed 5",
 )
 
 
