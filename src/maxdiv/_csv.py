@@ -1,4 +1,4 @@
-"""CSV text for numeric columns, byte-identical to ``"%.17g"`` and ``"%d"``.
+"""CSV text for float64 columns, byte-identical to ``"%.17g"``.
 
 ``csv_blocks`` formats the rows of some columns a block at a time with
 numpy, not one value at a time in Python.  A block becomes a uint8 matrix
@@ -12,17 +12,19 @@ D = round(|x| * 10**(16 - k)), k = floor(log10|x|).  The product is formed
 in double-double arithmetic: an exact (Dekker) product of |x| with the
 leading part of a two-part table of 10**e, plus |x| times its tail, good
 to ~1e-14.  So D is the correctly rounded integer unless the product lies
-within 1e-9 of a half-integer.  A k off by one (log10 rounds near powers
-of ten) puts the product outside [10**16, 10**17); those rows are redone
-with k -/+ 1, and a D that rounds up to 10**17 becomes 10**16 at k + 1.
-The text then follows the ``%g`` rules: fixed notation for -4 <= k < 17,
-otherwise one digit, the rest after a point, and an exponent of at least
-two digits; trailing zeros and a bare point removed.
+within 1e-9 of a half-integer.  The text then follows the ``%g`` rules:
+fixed notation for -4 <= k < 17, otherwise one digit, the rest after a
+point, and an exponent of at least two digits; trailing zeros and a bare
+point removed.
 
 A few values are formatted by Python's own ``"%.17g"``, once per distinct
 bit pattern: 0, +-inf and NaN, magnitudes outside (1e-280, 1e280) (the
-table's range, subnormals included), and the near-half-integer cases
-whose rounding the double-double product cannot decide.
+table's range, subnormals included), the near-half-integer cases whose
+rounding the double-double product cannot decide, and the rare values
+whose digits would take a second pass: a k that log10 misjudged (it
+rounds near powers of ten), which puts the product outside
+[10**16, 10**17), and a D that rounds up to 10**17 (9.99...95e(k) and up
+print as 1e(k+1)).
 """
 
 from __future__ import annotations
@@ -37,16 +39,15 @@ BLOCK_ROWS = 65_536
 # |x| formatted by the digit path: the split |x| * 134217729 and the
 # scaled products stay finite and normal inside these bounds
 _LO, _HI = 1e-280, 1e280
-_E_MIN = -270  # 10**e is tabulated for e = 16 - k (k -/+ 1) in [-270, 300]
+_E_MIN = -270  # 10**e is tabulated for e = 16 - k in [-270, 300]
 _E_MAX = 300
 _E_OFF = -330  # exponent text is tabulated for k in [-330, 330]
 _NO_EXPONENT = 1 - 2 * _E_OFF  # the table's empty column, for fixed notation
 _TIE_GAP = 1e-9  # scaled values this close to a half-integer fall back
 
 # slots per value: sign, "0.000" prefix, 17 digits with one point,
-# "e" + sign + 3 exponent digits; an int64 takes a sign and 19 digits
+# "e" + sign + 3 exponent digits
 _F_SLOTS = 1 + 5 + 18 + 5
-_I_SLOTS = 1 + 19
 _ZERO = np.uint8(ord("0"))
 _POINT = np.uint8(ord("."))
 _MINUS = np.uint8(ord("-"))
@@ -124,18 +125,13 @@ def _float_text(x: np.ndarray, out: np.ndarray) -> None:
     a = np.where(fast, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
     whole, frac = _scaled(a, k)
-    for step, bad in ((-1, frac < 10**16 - whole), (1, frac >= 10**17 - whole)):
-        redo = np.flatnonzero(bad)
-        if redo.size:
-            k[redo] += step
-            whole[redo], frac[redo] = _scaled(a[redo], k[redo])
     up = np.floor(frac + 0.5)
     d = whole + up.astype(np.int64)
-    fast &= (frac >= 10**16 - whole) & (frac < 10**17 - whole) & (np.abs(frac - up) < 0.5 - _TIE_GAP)
+    # the low end is tested on the unrounded product: with k one too high, a
+    # product just below 10**16 can round up to it; a product at or above
+    # 10**17 rounds to a D at or above it
+    fast &= (frac >= 10**16 - whole) & (d < 10**17) & (np.abs(frac - up) < 0.5 - _TIE_GAP)
     d[~fast] = 10**16
-    carry = np.flatnonzero(d == 10**17)  # 9.99...95e(k) and up round to 1e(k+1)
-    d[carry] = 10**16
-    k[carry] += 1
 
     # the 17 digits: a leading one, then four groups of four
     high = d // 100_000_000
@@ -194,54 +190,30 @@ def _fallback(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     out[:, rows] = texts[:, inverse.reshape(-1)]
 
 
-def _int_text(v: np.ndarray, out: np.ndarray) -> None:
-    """Fill the (_I_SLOTS, n) slots out with the "%d" text of v."""
-    t = _tables()
-    neg = v < 0
-    u = v.view(np.uint64)
-    u = np.where(neg, -u, u)  # |v| (mod 2**64), exact for -2**63 too
-    top = u // np.uint64(10**16)  # 0..922
-    rest = (u - top * np.uint64(10**16)).astype(np.int64)
-    high = rest // 100_000_000
-    low = (rest - high * 100_000_000).astype(np.int32)
-    high = high.astype(np.int32)
-    g0 = high // 10_000
-    g2 = low // 10_000
-    digits = out[1:]
-    np.take(t.digits4[1:], top.astype(np.intp), axis=1, out=digits[:3])
-    for j, g in enumerate((g0, high - g0 * 10_000, g2, low - g2 * 10_000)):
-        np.take(t.digits4, g, axis=1, out=digits[3 + 4 * j : 7 + 4 * j])
-    size = np.ones(v.size, dtype=np.uint8)  # decimal digits of |v|; 0 has one
-    for p in range(1, 19):
-        size += u >= np.uint64(10**p)
-    digits *= (np.arange(19, dtype=np.uint8)[:, None] >= 19 - size).view(np.uint8)
-    out[0] = neg.view(np.uint8) * _MINUS
-
-
 def csv_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """Yield the CSV lines of the columns, BLOCK_ROWS rows at a time.
+    """Yield the CSV lines of float64 columns, BLOCK_ROWS rows at a time.
 
-    Integer columns print as "%d", float columns as "%.17g"; each line
-    ends in "\\n".  The bytes equal those of the %-format of every row, a
-    line ``",".join(fmt % v for each column) + "\\n"`` at a time.
+    Each line ends in "\\n".  The bytes equal those of the %-format of
+    every row, a line ``",".join("%.17g" % v for each column) + "\\n"`` at
+    a time.  A column of any other dtype raises TypeError.
     """
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
-    columns = [c.astype(np.int64 if c.dtype.kind in "iu" else np.float64, casting="safe", copy=False) for c in columns]
-    fills = [(_int_text, _I_SLOTS) if c.dtype.kind == "i" else (_float_text, _F_SLOTS) for c in columns]
+    for c in columns:
+        if c.dtype != np.float64:
+            raise TypeError(f"csv_blocks formats float64 columns, got {c.dtype}")
+    width = _F_SLOTS + 1  # a value and its separator
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     size = columns[0].size
     # the pad: rows exactly 65,536 bytes apart share cache sets, and the
     # transpose below would evict its own source rows
-    height, rows = sum(w + 1 for _, w in fills), min(BLOCK_ROWS, size)
+    height, rows = width * len(columns), min(BLOCK_ROWS, size)
     text = np.empty((height, rows + 64), dtype=np.uint8)
     lines = np.empty((rows, height), dtype=np.uint8)
     for start in range(0, size, BLOCK_ROWS):
         n = min(BLOCK_ROWS, size - start)
-        row = 0
-        for c, (fill, w), sep in zip(columns, fills, seps):
-            fill(c[start : start + n], text[row : row + w, :n])
-            text[row + w, :n] = sep
-            row += w + 1
+        for row, c, sep in zip(range(0, height, width), columns, seps):
+            _float_text(c[start : start + n], text[row : row + _F_SLOTS, :n])
+            text[row + _F_SLOTS, :n] = sep
         flat = lines[:n]
         flat[...] = text[:, :n].T
         flat = flat.reshape(-1)

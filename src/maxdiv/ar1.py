@@ -94,23 +94,24 @@ def _innovations(spec: Ar1Spec, rng: np.random.Generator, n: int, beta_override:
 def _segmented_running_max(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Running maximum of values, restarted at every index where heads is set.
 
-    Ranks stand in for the values, so one np.maximum.accumulate over
-    segment*n + rank restarts at each head and returns stored values
-    exactly.  Equal values rank the earlier index higher, so ties keep
-    the earlier element (max(-0.0, 0.0) stays -0.0), as a step-by-step
-    max(previous, new) does.  NaN ranks above everything, so a NaN X_0
-    holds its segment to the end, again as max(previous, new) does;
-    innovations are never NaN.
+    A doubling scan: after the pass with step s, x[i] is the maximum of
+    the last 2s values up to i within its segment.  Each pass takes
+    x[i - s] into x[i] unless x[i] > x[i - s], so ties keep the earlier
+    element (max(-0.0, 0.0) stays -0.0) and a NaN X_0 holds its segment
+    to the end, as a step-by-step max(previous, new) does; innovations
+    are never NaN.  np.maximum would not do: which zero it returns on a
+    +-0 tie is left to the platform.
     """
-    n = values.size
-    # stable sort of the reversed values: among equal values the later
-    # index comes first and so gets the lower rank
-    order = n - 1 - np.argsort(values[::-1], kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    offset = (np.cumsum(heads) - 1) * n
-    running = np.maximum.accumulate(offset + rank) - offset
-    return values[order[running]]
+    idx = np.arange(values.size)
+    pos = idx - np.maximum.accumulate(np.where(heads, idx, 0))  # steps since the head
+    x = values.copy()
+    step, top = 1, pos.max(initial=0)
+    while step <= top:
+        take = pos[step:] >= step
+        take &= ~(x[step:] > x[:-step])
+        np.copyto(x[step:], x[:-step], where=take)  # copies the overlapping source first
+        step *= 2
+    return x
 
 
 def ar1_simulate(

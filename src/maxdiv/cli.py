@@ -6,9 +6,10 @@ chains and a stationarity check), verify (the numerical check registry).
 
 All numeric output is written with 17 significant digits so files round
 trip losslessly; a run with identical flags and seed is byte-identical.
-CSV rows carry exactly the bytes of "%d" (integers) and "%.17g" (floats),
-built with numpy a block of 65,536 rows at a time and written in binary
-mode, so every line ends in "\\n" on every platform.
+CSV columns are float64 and carry exactly the bytes of "%.17g", built
+with numpy a block of 65,536 rows at a time and written in binary mode,
+so every line ends in "\\n" on every platform.  The step index of
+ar1 is an integral float below 2**53, so it prints as its "%d" digits.
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.
 """
 
@@ -61,7 +62,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _write_csv(out: str, header: str, *columns) -> None:
-    """The header, then row i of the columns: integers as %d, floats as %.17g."""
+    """The header, then row i of the float64 columns, each value as %.17g."""
     with click.open_file(out, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for block in csv_blocks(columns):
@@ -202,7 +203,7 @@ def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, s
         chain = ar1_simulate(spec, steps, rng, innovation_beta=innovation_beta)
     except ValueError as exc:
         raise _usage(exc)
-    _write_csv(out, "step,value", np.arange(chain.size), chain)
+    _write_csv(out, "step,value", np.arange(chain.size, dtype=float), chain)
 
 
 @main.command("verify")
@@ -212,6 +213,10 @@ def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, s
 @click.pass_context
 def verify_cmd(ctx, checks, seed, out) -> None:
     """Run registered checks (default: all) and print one line each."""
+    try:
+        RandomSource(seed)  # every check draws from a source under this seed
+    except ValueError as exc:
+        raise _usage(exc)
     wanted = list(checks) or ["all"]
     if wanted == ["all"]:
         selected = list(CHECK_IDS)

@@ -181,6 +181,18 @@ def test_verify_unknown_check_is_a_usage_error(runner):
     assert "unknown check" in result.output
 
 
+def test_verify_negative_seed_is_a_usage_error(runner):
+    # exit 1 means a check failed; a bad seed is a usage error, as in sample, ep and ar1
+    for result in (
+        runner.invoke(main, ["verify", "--seed", "-1"]),
+        runner.invoke(main, ["verify", "T2_1"], env={"MAXDIV_SEED": "-1"}),
+    ):
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "nonnegative" in result.output
+        assert "Traceback" not in result.output
+
+
 def test_verify_writes_json_reports(runner, tmp_path):
     out = tmp_path / "reports.json"
     result = runner.invoke(main, ["verify", "T2_1", "T2_5", "--out", str(out)])

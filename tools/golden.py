@@ -1,8 +1,10 @@
-"""Byte-identity digests of a fixed matrix of seeded `maxdiv` CLI runs.
+"""Byte-identity digests of a fixed matrix of seeded `maxdiv` runs.
 
 Prints one "sha256  argv" line per output target: the stdout of every
-run, plus the file of every run that writes --out.  A run that exits
-non-zero is marked "(exit N)".  Run it on two checkouts and diff:
+CLI run, plus the file of every run that writes --out, then the stdout
+of a few library snippets run with `python -c`, which write raw draws
+that no CLI command prints.  A run that exits non-zero is marked
+"(exit N)".  Run it on two checkouts and diff:
 
     python tools/golden.py > new.txt
     python tools/golden.py /path/to/base/checkout > old.txt
@@ -54,7 +56,27 @@ MATRIX = (
     "ep --path --family weibull --alpha 1.7 --times 0.5:3:2000 --seed 3",
     "ar1 --p 0.3 --beta 2 --alpha 1.7 --steps 5000 --seed 5",
     "ar1 --p 0.5 --beta 1 --alpha 1.7 --check --seed 5",
+    # ar1 --check hashes a KS statistic, which keeps its value under any change
+    # to the draws that keeps their ranks; these rows print the draws.  At
+    # p = 0.001 the segments are long, so the running max takes many passes
+    "ar1 --p 0.001 --beta 2 --steps 5000 --seed 5",
+    "ar1 --p 0.9 --family weibull --alpha 1.7 --steps 5000 --seed 5",
 )
+
+# label -> code; the code writes raw bytes to stdout, which are hashed
+LIBRARY = {
+    "ar1_ensemble draws of the T3_3 lattice, control included, at verify seed 42": """
+import sys
+import maxdiv
+from maxdiv.verify import AR1_LAG, BETAS, CHECK_IDS, MC_SIZE, PS, STREAM_BLOCK
+source = maxdiv.RandomSource(42, STREAM_BLOCK + CHECK_IDS.index("T3_3"))
+cells = [(p, beta, None) for beta in BETAS for p in PS] + [(0.5, 1.0, 2.0)]
+for i, (p, beta, innovation_beta) in enumerate(cells):
+    spec = maxdiv.Ar1Spec(p, beta, maxdiv.frechet(1.0))
+    draws = maxdiv.ar1_ensemble(spec, AR1_LAG, source.substream(i).generator(), MC_SIZE, innovation_beta=innovation_beta)
+    sys.stdout.buffer.write(draws.tobytes())
+""",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -73,6 +95,10 @@ def main(root: Path) -> None:
             if OUT in line:
                 print(f"{_sha(out.read_bytes())}  maxdiv {line}", flush=True)
                 out.unlink()
+        for label, snippet in LIBRARY.items():
+            run = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True, cwd=tmp)
+            code = f"  (exit {run.returncode})" if run.returncode else ""
+            print(f"{_sha(run.stdout)}  python -c: {label}{code}", flush=True)
 
 
 if __name__ == "__main__":
