@@ -70,24 +70,30 @@ class Exponent:
         family-dependent 0 or 1.
         """
         xs, scalar = _as_array(x)
-        # The formula runs over the whole array, then the entries outside
-        # the support are overwritten; NaN passes through both.  |x| is x on
-        # the frechet support and -x on the weibull one, and exp is never
-        # negative, so the abs changes only the sign of a NaN: every family
-        # returns the positive NaN, whatever the sign of the NaN it got.
+        return _unwrap(self._eval_raw(xs.copy()), scalar)
+
+    def _eval_raw(self, x):
+        # in-place core of eval: x is a float array the caller allocated,
+        # overwritten with psi(x) and returned.  The support mask is taken
+        # first; the formula then runs over the whole array and the entries
+        # outside the support are overwritten; NaN passes through both.  |x|
+        # is x on the frechet support and -x on the weibull one, and exp is
+        # never negative, so the abs changes only the sign of a NaN: every
+        # family returns the positive NaN, whatever the sign of the NaN it got.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.family is Family.FRECHET:
-                out = np.abs(xs)
-                out **= -self.alpha
-                out[xs <= 0] = np.inf
+                outside = x <= 0
+                np.abs(x, out=x)
+                x **= -self.alpha
+                x[outside] = np.inf
             elif self.family is Family.WEIBULL:
-                out = np.abs(xs)
-                out **= self.alpha
-                out[xs >= 0] = 0.0
+                outside = x >= 0
+                np.abs(x, out=x)
+                x **= self.alpha
+                x[outside] = 0.0
             else:
-                out = np.negative(xs)
-                np.abs(np.exp(out, out=out), out=out)
-        return _unwrap(out, scalar)
+                np.abs(np.exp(np.negative(x, out=x), out=x), out=x)
+        return x
 
     def inverse(self, s):
         """The x with psi(x) = s, for finite s > 0; an x beyond float

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import sample_size
+from ._checks import positive_integer
 from .exponents import _as_array, _unwrap
-from .laws import MaxLaw
+from .laws import MaxLaw, _cdf_raw
 
 __all__ = [
     "KS_COEFFICIENTS",
@@ -59,13 +59,13 @@ def ecdf(samples, x):
 
 
 def critical_one_sample(n: int, alpha: float = 0.01) -> float:
-    sample_size(n, "n")
+    positive_integer(n, "n")
     return float(_coefficient(alpha) / np.sqrt(n))
 
 
 def critical_two_sample(n: int, m: int, alpha: float = 0.01) -> float:
-    if n < 1 or m < 1:
-        raise ValueError(f"both sample sizes must be >= 1, got {n}, {m}")
+    positive_integer(n, "n")
+    positive_integer(m, "m")
     return float(_coefficient(alpha) * np.sqrt((n + m) / (n * m)))
 
 
@@ -75,12 +75,13 @@ def ks_one_sample(samples, cdf, alpha: float = 0.01) -> KSReport:
     cdf may be a MaxLaw or any vectorized d.f. callable.  The statistic
     is evaluated on both sides of each jump of the empirical d.f.
     """
-    fn = cdf.cdf if isinstance(cdf, MaxLaw) else cdf
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n < 1:
         raise ValueError("ks_one_sample needs at least one sample")
-    stat = _ks_distance(np.asarray(fn(xs), dtype=float))
+    # the sorted copy is ours: a MaxLaw's d.f. overwrites it in place
+    f = _cdf_raw(cdf, xs) if isinstance(cdf, MaxLaw) else np.asarray(cdf(xs), dtype=float)
+    stat = _ks_distance(f)
     crit = critical_one_sample(n, alpha)
     return KSReport(stat, n, None, crit, alpha, stat < crit)
 
@@ -89,17 +90,19 @@ def _ks_distance(f: np.ndarray) -> float:
     """Largest of (i+1)/n - f[i] and f[i] - ((i+1)/n - 1/n) over i, for f
     the target d.f. at the sorted sample; NaN if any f[i] is NaN.
 
-    Runs over _KS_BLOCK points at a time: its two temporaries stay in
-    cache, where whole-sample differences take n-arrays that the heap
-    hands back to the system after every call and faults in again.
+    Runs over _KS_BLOCK points at a time, with one steps array per block
+    and one scratch buffer for all blocks: both stay in cache, where
+    whole-sample differences take n-arrays that the heap hands back to
+    the system after every call and faults in again.
     """
     n = f.size
+    scratch = np.empty(min(n, _KS_BLOCK))
     maxima = []
     for lo in range(0, n, _KS_BLOCK):
         steps = np.arange(lo + 1.0, min(lo + _KS_BLOCK, n) + 1.0)
         steps /= n
         block = f[lo : lo + steps.size]
-        maxima.append(np.max(steps - block))
+        maxima.append(np.max(np.subtract(steps, block, out=scratch[: steps.size])))
         steps -= 1.0 / n
         maxima.append(np.max(np.subtract(block, steps, out=steps)))
     return float(np.max(maxima))

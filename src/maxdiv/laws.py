@@ -66,7 +66,8 @@ class _Kind:
     """What a law kind is, as functions of s = psi(x) and the shape b.
 
     Every form overwrites the array it is given and returns it: neg_log
-    and cdf get the array Exponent.eval returned, s_of_w gets out=w, the
+    and cdf get psi(x) in the buffer x was copied into (for the one-sample
+    KS test, its sorted copy of the sample), s_of_w gets out=w, the
     draws' own buffer.  For a single draw s_of_w gets out=None and a
     numpy scalar, and computes out of place.  Each form applies the
     operations of its formula in the formula's order, so its results
@@ -133,12 +134,12 @@ class MaxLaw:
 
     def neg_log_cdf(self, x):
         """-log F(x); computed with log1p so deep tails do not cancel."""
-        s, scalar = _as_array(self.exponent.eval(x))
-        return _unwrap(_KINDS[self.kind].neg_log(s, self.beta), scalar)
+        xs, scalar = _as_array(x)
+        return _unwrap(_KINDS[self.kind].neg_log(self.exponent._eval_raw(xs.copy()), self.beta), scalar)
 
     def cdf(self, x):
-        s, scalar = _as_array(self.exponent.eval(x))
-        return _unwrap(_KINDS[self.kind].cdf(s, self.beta), scalar)
+        xs, scalar = _as_array(x)
+        return _unwrap(_cdf_raw(self, xs.copy()), scalar)
 
     def quantile(self, u):
         """Inverse d.f. on (0, 1); endpoints are rejected."""
@@ -171,6 +172,12 @@ class MaxLaw:
         return _sample_max(base_law(self.exponent), rng, n, mixing(self.beta, rng, n))
 
 
+def _cdf_raw(law: MaxLaw, x: np.ndarray) -> np.ndarray:
+    """F(x) in x's own buffer: x is a float array the caller allocated,
+    which is overwritten with the result."""
+    return _KINDS[law.kind].cdf(law.exponent._eval_raw(x), law.beta)
+
+
 def _quantile_w(law: MaxLaw, w, k=None):
     """Quantile evaluated at u = exp(-w), w > 0, without forming u; with
     k, the quantile of F**k, i.e. of law at u = exp(-w/k).
@@ -194,13 +201,18 @@ def _quantile_w(law: MaxLaw, w, k=None):
     return _nudge_off_bottom(law.exponent, x)
 
 
+def _neg_log(u):
+    """-log(u) in the buffer of u, a float array the caller allocated; a
+    new numpy scalar for a numpy scalar u (one draw)."""
+    if not np.ndim(u):
+        return -np.log(u)
+    return np.negative(np.log(u, out=u), out=u)
+
+
 def _neg_log_uniform(rng: np.random.Generator, n):
     """-log(U) for open-interval uniforms U, in the buffer the uniforms
     were drawn into (one numpy scalar when n is None)."""
-    u = uniform_open(rng, n)
-    if n is None:
-        return -np.log(u)
-    return np.negative(np.log(u, out=u), out=u)
+    return _neg_log(uniform_open(rng, n))
 
 
 def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):

@@ -209,8 +209,8 @@ def _mc_lattice(source, cells) -> list[KSReport]:
         # draws stays bound until the next cell has drawn: freed first, it
         # leaves enough free memory at the top of the heap for the allocator
         # to return it to the system, and the next cell faults it back in
-        # (glibc defaults: T3_1 1,710 and T3_3 6,030 minor faults per call,
-        # against 586 and 603 with the binding)
+        # (glibc defaults: T3_1 ~1,200, T3_2 ~1,200 and T3_3 ~5,800 minor
+        # faults per call, against ~580, 0 and ~550 with the binding)
         draws = draw(source.substream(i).generator(), MC_SIZE)
         reports.append(_mc_cell(draws, beta))
     return reports

@@ -147,6 +147,65 @@ def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, init, innova
     np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, init, innovation_beta)))
 
 
+# At p = 0.3 and lag >= 30, X_0 is read in ~2e-5 of the chains, so in none of
+# the 4,000 above.  These read it in ~37% (p = 0.01, lag 100) and ~21%
+# (p = 0.05, lag 30), so the draws of X_0 and their join are compared too.
+@pytest.mark.parametrize("p, lag", [(0.01, 100), (0.05, 30)])
+@pytest.mark.parametrize("exponent", [frechet(1.7), weibull(1.7), gumbel()], ids=lambda e: e.family.value)
+@pytest.mark.parametrize("init, innovation_beta", [(None, None), (2.0, None), (np.nan, None), (None, 4.0)])
+def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, init, innovation_beta):
+    spec = Ar1Spec(p, 0.5, exponent)
+    new, ref = rngs(lag)
+    got = ar1_ensemble(spec, lag, new, 4000, init=init, innovation_beta=innovation_beta)
+    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, init, innovation_beta)))
+    if init is not None and np.isnan(init):
+        # a NaN X_0 marks the chains that read it
+        assert 0.15 < np.mean(np.isnan(got)) < 0.45
+
+
+# -- the one-sample KS d.f. runs in the sorted copy --------------------------
+
+# the d.f. as a function of s = psi(x), out of place: every step allocates its result
+_CDF_OF_S = {
+    LawKind.BASE: lambda s, b: np.exp(-s),
+    LawKind.GMID: lambda s, b: 1.0 / (1.0 + s),
+    LawKind.GAMMA_MID: lambda s, b: np.exp(-b * np.log1p(s)),
+    LawKind.GGAMMA_MID: lambda s, b: 1.0 / (1.0 + b * np.log1p(s)),
+}
+
+
+def reference_psi(exponent, x):
+    """psi(x), out of place: the formula, then the limit value outside the support."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if exponent.family is Family.FRECHET:
+            return np.where(x <= 0, np.inf, np.abs(x) ** -exponent.alpha)
+        if exponent.family is Family.WEIBULL:
+            return np.where(x >= 0, 0.0, np.abs(x) ** exponent.alpha)
+        return np.abs(np.exp(-x))
+
+
+def edge_points(exponent):
+    """Signed zeros, the smallest inside point and its neighbour, the
+    infinities, and points outside the support."""
+    outside = {Family.FRECHET: [-1.0, -1e-300], Family.WEIBULL: [1.0, 1e-300], Family.GUMBEL: []}
+    bottom = _min_inside(exponent)
+    return [-0.0, 0.0, bottom, np.nextafter(bottom, np.inf), -np.inf, np.inf, *outside[exponent.family]]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.7])
+def test_ks_one_sample_law_equals_its_cdf_callable(alpha):
+    for i, law in enumerate(laws(alpha)):
+        reference = lambda x: _CDF_OF_S[law.kind](reference_psi(law.exponent, x), law.beta)
+        draws = law.sample_inverse(RandomSource(i, 4).generator(), 20_000)
+        edges = edge_points(law.exponent)
+        for sample in (edges + list(draws[:40]), edges + list(draws), edges + [np.nan] + list(draws[:40])):
+            x = read_only(sample)
+            statistic = ks_one_sample(x, law).statistic
+            assert bits(statistic) == bits(ks_one_sample(x, law.cdf).statistic), (law, len(sample))
+            assert bits(statistic) == bits(ks_one_sample(x, reference).statistic), (law, len(sample))
+            assert np.isnan(statistic) == bool(np.isnan(x).any())
+
+
 # -- caller arrays are never written ----------------------------------------
 
 

@@ -58,6 +58,22 @@ def test_unknown_alpha_rejected():
         critical_two_sample(100, 100, alpha=0.001)
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, np.inf, np.nan])
+def test_critical_values_reject_a_sample_size_that_is_not_a_whole_number(bad):
+    # unchecked, inf gives a band of 0.0 (one-sample) or NaN (two-sample), and 2.5 a band no sample has
+    with pytest.raises(ValueError):
+        critical_one_sample(bad)
+    with pytest.raises(ValueError):
+        critical_two_sample(bad, 3)
+    with pytest.raises(ValueError):
+        critical_two_sample(3, bad)
+
+
+def test_critical_values_accept_an_integral_float():
+    assert critical_one_sample(3.0) == critical_one_sample(3)
+    assert critical_two_sample(3.0, 4.0) == critical_two_sample(3, 4)
+
+
 def test_one_sample_single_point_statistic():
     # a single draw at the median gives max(1 - 0.5, 0.5 - 0) = 0.5
     report = ks_one_sample(np.array([1.0]), g_mid(E1))

@@ -12,7 +12,7 @@ that no CLI command prints.  A run that exits non-zero is marked
 
 The optional argument is the root of the checkout whose src/ is run
 (default: the checkout holding this script).  The matrix takes about
-ten seconds.
+fifteen seconds.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ MATRIX = (
     # p = 0.001 the segments are long, so the running max takes many passes
     "ar1 --p 0.001 --beta 2 --steps 5000 --seed 5",
     "ar1 --p 0.9 --family weibull --alpha 1.7 --steps 5000 --seed 5",
+    # the Monte Carlo checks on the canonical seeds: verdicts, and each check's
+    # worst KS statistic to the bit in --out (the cells' to five decimals)
+    *(f"verify T3_1 T3_2 T3_3 --seed {seed} --out {OUT}" for seed in range(10)),
 )
 
 # label -> code; the code writes raw bytes to stdout, which are hashed
@@ -75,6 +78,33 @@ for i, (p, beta, innovation_beta) in enumerate(cells):
     spec = maxdiv.Ar1Spec(p, beta, maxdiv.frechet(1.0))
     draws = maxdiv.ar1_ensemble(spec, AR1_LAG, source.substream(i).generator(), MC_SIZE, innovation_beta=innovation_beta)
     sys.stdout.buffer.write(draws.tobytes())
+""",
+    "every KS statistic of T3_1-T3_3 on the canonical seeds 0..9": """
+import importlib
+import sys
+import numpy as np
+registry = importlib.import_module("maxdiv.verify")  # maxdiv.verify is also a function
+statistics = []
+lattice = registry._mc_lattice
+def recorded(source, cells):
+    reports = lattice(source, cells)
+    statistics.extend(report.statistic for report in reports)
+    return reports
+registry._mc_lattice = recorded
+for seed in range(10):
+    for check in ("T3_1", "T3_2", "T3_3"):
+        registry.verify(check, seed)
+sys.stdout.buffer.write(np.array(statistics).tobytes())
+""",
+    # the T3_3 cells, at p >= 0.2, read X_0 in none of their chains
+    "ar1_ensemble draws at p = 0.01 and lag 100, where ~37% of the chains read X_0": """
+import sys
+import maxdiv
+for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
+    spec = maxdiv.Ar1Spec(0.01, 0.5, exponent)
+    for init in (None, 2.0):
+        draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000, init=init)
+        sys.stdout.buffer.write(draws.tobytes())
 """,
 }
 
