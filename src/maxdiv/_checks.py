@@ -1,5 +1,5 @@
 """Argument checks shared by the layers; each raises ValueError or
-returns its argument unchanged."""
+returns its argument (positive_integer returns it as an int)."""
 
 from __future__ import annotations
 
@@ -12,17 +12,12 @@ def positive_finite(value, name: str):
     return value
 
 
-def sample_size(n, name: str = "sample size"):
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    return n
-
-
 def positive_integer(n, name: str = "n"):
-    """A whole number >= 1; an integral float such as 3.0 passes."""
+    """A whole number >= 1, returned as an int; an integral float such
+    as 3.0 passes."""
     if not (1 <= n < np.inf and int(n) == n):
         raise ValueError(f"{name} must be a positive integer, got {n}")
-    return n
+    return int(n)
 
 
 def probability(p, name: str = "p", *, allow_one: bool = False):

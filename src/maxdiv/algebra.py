@@ -28,12 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import positive_finite, positive_integer, probability, sample_size
+from ._checks import positive_finite, positive_integer, probability
 from .exponents import Exponent, Family, _as_array, _unwrap
 from .laws import _KINDS, MaxLaw, _neg_log_uniform, _quantile_w
 
 __all__ = [
-    "CdfExpr",
     "expr_from_law",
     "geo_max_cdf",
     "geo_max_sample",
@@ -109,7 +108,7 @@ def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = 
     draw, so time and memory do not grow as p shrinks.
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
-    n = sample_size(1 if size is None else size)
+    n = positive_integer(1 if size is None else size, "size")
     w = _neg_log_uniform(rng, n)
     if p < 1.0:
         np.log1p(np.multiply(p, np.expm1(w, out=w), out=w), out=w)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import positive_finite, probability, sample_size
+from ._checks import positive_finite, positive_integer, probability
 from .exponents import Exponent, _as_array, _unwrap
 from .laws import MaxLaw, _neg_log, _quantile_w, _sample_max, ggamma_mid
 from .rng import uniform_open
@@ -136,7 +136,7 @@ def ar1_simulate(
     a reset), then X_0, then the innovations, so equal-seed runs
     reproduce byte for byte.
     """
-    sample_size(n_steps, "n_steps")
+    n_steps = positive_integer(n_steps, "n_steps")
     u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
     if init is None:
         x0 = float(_sample_max(spec.marginal_law(), rng, None))
@@ -170,7 +170,7 @@ def ar1_ensemble(
     # index() rejects a float lag, which would become a fractional innovation count
     if operator.index(lag) < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    sample_size(n_chains, "n_chains")
+    n_chains = positive_integer(n_chains, "n_chains")
     u0 = uniform_open(rng, n_chains) if init is None else None
     if lag == 0:
         return _marginal(spec, u0) if init is None else np.full(n_chains, float(init))

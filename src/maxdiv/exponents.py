@@ -22,7 +22,7 @@ import numpy as np
 
 from ._checks import positive_finite
 
-__all__ = ["Family", "Exponent", "Support", "frechet", "weibull", "gumbel"]
+__all__ = ["Family", "Exponent", "frechet", "weibull", "gumbel"]
 
 
 class Family(str, Enum):

@@ -23,9 +23,9 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import open_unit, positive_finite, sample_size
+from ._checks import positive_finite, positive_integer
 from .exponents import _as_array, _unwrap
-from .laws import MaxLaw, _quantile_w, _sample_max, sample_ggamma
+from .laws import MaxLaw, _sample_max, sample_ggamma
 
 # variates per ep_simulate_ensemble block: large enough to amortise the
 # per-call cost over long grids, small enough (0.5 MB of float64) that
@@ -36,14 +36,10 @@ __all__ = [
     "SubKind",
     "SubordinatorSpec",
     "ExtremalSpec",
-    "PathGrid",
     "ep_marginal_cdf",
-    "ep_marginal_quantile",
-    "ep_max_increment_sample",
     "ep_simulate_path",
     "ep_simulate_ensemble",
     "subordinator_marginal",
-    "subordinator_path",
     "compound_marginal_cdf",
     "compound_simulate",
 ]
@@ -79,14 +75,6 @@ class PathGrid:
     times: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        times = _check_times(self.times)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != times.shape:
-            raise ValueError("values must match the time grid shape")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
 
 def _check_time(t: float, sub: SubordinatorSpec | None = None) -> float:
     """A finite positive time, at which sub (when given) is defined."""
@@ -112,28 +100,6 @@ def ep_marginal_cdf(spec: ExtremalSpec, t: float, x):
     return _unwrap(np.exp(-t * v), scalar)
 
 
-def ep_marginal_quantile(spec: ExtremalSpec, t: float, u):
-    """Quantile of F**t: the base quantile evaluated at u**(1/t).
-
-    Computed in w = -log(u) space, so very small u or large t do not
-    lose precision forming u**(1/t).
-    """
-    t = _check_time(t)
-    us, scalar = _as_array(u)
-    return _unwrap(_quantile_w(spec.base, -np.log(open_unit(us)), t), scalar)
-
-
-def ep_max_increment_sample(spec: ExtremalSpec, dt: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draws of the fresh max-increment over an interval of length dt.
-
-    The increment law is F**dt whatever the interval's left endpoint.
-    ep_simulate_ensemble draws the same increments a block of grid
-    points at a time rather than through this function.
-    """
-    dt = _check_time(dt)
-    return _sample_max(spec.base, rng, sample_size(n), dt)
-
-
 def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent paths on a shared grid; shape (n, len(times)).
 
@@ -147,7 +113,7 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
     whole block, the loop after its own grid point.
     """
     times = _check_times(times)
-    sample_size(n)
+    n = positive_integer(n, "n")
     dt = np.diff(times, prepend=0.0)
     rows = max(1, _EP_BLOCK_VARIATES // n)
     out = np.empty((n, times.size))
@@ -191,28 +157,12 @@ def subordinator_marginal(sub: SubordinatorSpec, t: float, rng: np.random.Genera
     support, mirroring quantile handling of unrepresentable extremes.
     """
     t = _check_time(t, sub)
-    n = sample_size(1 if size is None else size)
+    n = positive_integer(1 if size is None else size, "size")
     if sub.kind is SubKind.GAMMA:
         out = np.atleast_1d(rng.gamma(t, 1.0, n))
     else:
         out = np.atleast_1d(sample_ggamma(sub.beta, rng, n))
     return float(out[0]) if size is None else out
-
-
-def subordinator_path(sub: SubordinatorSpec, times, rng: np.random.Generator) -> PathGrid:
-    """Nondecreasing random-time path on a grid.
-
-    The gamma kind has independent gamma(dt, 1) increments.  The ggamma
-    kind has no path construction: only the one-point grid [1.0] is
-    accepted, yielding its unit-time marginal.
-    """
-    times = _check_times(times)
-    if sub.kind is SubKind.GGAMMA_UNIT:
-        if times.size != 1:
-            raise ValueError("the ggamma subordinator only supports the one-point grid [1.0]")
-        return PathGrid(times, subordinator_marginal(sub, times[0], rng, 1))
-    increments = rng.gamma(np.diff(np.concatenate(([0.0], times))), 1.0)
-    return PathGrid(times, np.cumsum(increments))
 
 
 def compound_marginal_cdf(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, x):
@@ -228,5 +178,5 @@ def compound_marginal_cdf(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, x
 
 def compound_simulate(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draws of Y(T(t)): a random time first, then the marginal at it."""
-    sample_size(n)
+    n = positive_integer(n, "n")
     return _sample_max(spec.base, rng, n, subordinator_marginal(sub, t, rng, n))

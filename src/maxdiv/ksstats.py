@@ -7,17 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import positive_integer
-from .exponents import _as_array, _unwrap
 from .laws import MaxLaw, _cdf_raw
 
 __all__ = [
     "KS_COEFFICIENTS",
     "KSReport",
-    "ecdf",
     "ks_one_sample",
     "ks_two_sample",
     "critical_one_sample",
-    "critical_two_sample",
     "sup_norm_grid",
     "quantile_grid",
     "cdf_validity_gap",
@@ -48,16 +45,6 @@ class KSReport:
     passed: bool
 
 
-def ecdf(samples, x):
-    """Fraction of samples <= x (right-continuous empirical d.f.)."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("ecdf needs at least one sample")
-    xs, scalar = _as_array(x)
-    out = np.searchsorted(samples, xs, side="right") / samples.size
-    return _unwrap(out, scalar)
-
-
 def critical_one_sample(n: int, alpha: float = 0.01) -> float:
     positive_integer(n, "n")
     return float(_coefficient(alpha) / np.sqrt(n))
@@ -69,13 +56,25 @@ def critical_two_sample(n: int, m: int, alpha: float = 0.01) -> float:
     return float(_coefficient(alpha) * np.sqrt((n + m) / (n * m)))
 
 
+def _sorted_sample(samples) -> np.ndarray:
+    """A sorted float copy of a one-dimensional sample.
+
+    An ensemble's columns follow different laws, so a 2-d array is
+    rejected rather than flattened into one sample.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"a KS sample must be one-dimensional, got shape {x.shape}")
+    return np.sort(x)
+
+
 def ks_one_sample(samples, cdf, alpha: float = 0.01) -> KSReport:
     """Sup distance between the empirical d.f. and a target d.f.
 
     cdf may be a MaxLaw or any vectorized d.f. callable.  The statistic
     is evaluated on both sides of each jump of the empirical d.f.
     """
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = _sorted_sample(samples)
     n = xs.size
     if n < 1:
         raise ValueError("ks_one_sample needs at least one sample")
@@ -110,8 +109,7 @@ def _ks_distance(f: np.ndarray) -> float:
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> KSReport:
     """Sup distance between two empirical d.f.s over the pooled points."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a, b = _sorted_sample(a), _sorted_sample(b)
     n, m = a.size, b.size
     if n < 1 or m < 1:
         raise ValueError("ks_two_sample needs nonempty samples")

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import open_unit, positive_finite, sample_size
+from ._checks import open_unit, positive_finite, positive_integer
 from .exponents import Exponent, Family, _as_array, _min_inside, _unwrap
 from .rng import uniform_open
 
@@ -46,7 +46,6 @@ __all__ = [
     "g_mid",
     "gamma_mid",
     "ggamma_mid",
-    "quantile_neg_log",
     "sample_ggamma",
     "lt_ggamma",
     "law_to_dict",
@@ -153,7 +152,7 @@ class MaxLaw:
     # (seed, stream) sources reproduce identical output
 
     def sample_inverse(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _sample_max(self, rng, sample_size(n))
+        return _sample_max(self, rng, positive_integer(n, "n"))
 
     def sample_latent(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw via the latent mixing time; not defined for the base kind.
@@ -165,7 +164,7 @@ class MaxLaw:
         support, matching the inverse route's handling of unrepresentably
         extreme quantiles.
         """
-        sample_size(n)
+        n = positive_integer(n, "n")
         mixing = _KINDS[self.kind].mixing
         if mixing is None:
             raise ValueError("base kind has no latent mixing time")
@@ -236,14 +235,6 @@ def _nudge_off_bottom(exponent: Exponent, x):
     return x
 
 
-def quantile_neg_log(law: MaxLaw, w):
-    """Public wrapper of the w-space quantile, for w = -log(u) > 0."""
-    ws, scalar = _as_array(w)
-    if np.any(~(ws > 0.0)):
-        raise ValueError("quantile_neg_log requires w > 0")
-    return _unwrap(_quantile_w(law, ws.copy()), scalar)
-
-
 def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None):
     """Gamma variate whose shape is beta times a unit exponential.
 
@@ -260,7 +251,7 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None
     limit, returned without an overflow warning.
     """
     positive_finite(beta, "beta")
-    n = sample_size(1 if size is None else size)
+    n = positive_integer(1 if size is None else size, "size")
     with np.errstate(over="ignore"):
         shape = beta * rng.standard_exponential(n)
     while np.any(shape == 0.0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,9 @@ class RandomSource:
     branch: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.seed < 0 or self.stream < 0 or any(b < 0 for b in self.branch):
-            raise ValueError("seed, stream, and branch indices must be nonnegative integers")
+        object.__setattr__(self, "seed", _index(self.seed))
+        object.__setattr__(self, "stream", _index(self.stream))
+        object.__setattr__(self, "branch", tuple(map(_index, self.branch)))
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -35,6 +37,18 @@ class RandomSource:
     def substream(self, index: int) -> "RandomSource":
         """Child source; children of distinct indices never collide across sources."""
         return RandomSource(self.seed, self.stream, self.branch + (index,))
+
+
+def _index(value) -> int:
+    """value as a nonnegative int; numpy integers and bools pass, while
+    1.5, 2.0 and "3" fail like -1 does."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValueError("seed, stream, and branch indices must be nonnegative integers")
+    return index
 
 
 def uniform_open(rng: np.random.Generator, size: int | None = None):

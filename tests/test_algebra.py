@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from maxdiv import (
-    CdfExpr,
     RandomSource,
     base_law,
     expr_from_law,
@@ -28,6 +27,7 @@ from maxdiv import (
     sup_norm_grid,
     weibull,
 )
+from maxdiv.algebra import CdfExpr
 
 E1 = frechet(1.0)
 BETAS = (0.5, 1.0, 2.0)

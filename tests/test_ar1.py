@@ -8,7 +8,6 @@ from maxdiv import (
     RandomSource,
     ar1_ensemble,
     ar1_simulate,
-    critical_two_sample,
     frechet,
     geo_max_cdf,
     ggamma_mid,
@@ -21,6 +20,7 @@ from maxdiv import (
     weibull,
 )
 from maxdiv.ar1 import _segmented_running_max
+from maxdiv.ksstats import critical_two_sample
 from maxdiv.laws import _sample_max
 
 E1 = frechet(1.0)

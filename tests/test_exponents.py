@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from maxdiv import Exponent, Family, Support, frechet, gumbel, weibull
+from maxdiv import Exponent, Family, frechet, gumbel, weibull
+from maxdiv.exponents import Support
 
 ALL_EXPONENTS = (frechet(1.0), frechet(2.0), weibull(1.0), weibull(2.0), gumbel())
 

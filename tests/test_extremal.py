@@ -9,7 +9,6 @@ import pytest
 from maxdiv import (
     Exponent,
     ExtremalSpec,
-    PathGrid,
     RandomSource,
     SubKind,
     SubordinatorSpec,
@@ -17,8 +16,6 @@ from maxdiv import (
     compound_marginal_cdf,
     compound_simulate,
     ep_marginal_cdf,
-    ep_marginal_quantile,
-    ep_max_increment_sample,
     ep_simulate_ensemble,
     ep_simulate_path,
     frechet,
@@ -30,9 +27,10 @@ from maxdiv import (
     ks_two_sample,
     quantile_grid,
     subordinator_marginal,
-    subordinator_path,
     weibull,
 )
+from maxdiv.extremal import PathGrid
+from maxdiv.laws import _quantile_w, _sample_max
 
 E1 = frechet(1.0)
 
@@ -61,9 +59,9 @@ def ensemble_by_steps(spec, times, rng, n):
     """n paths, drawing the n increments of each grid point in turn."""
     times = np.asarray(times, dtype=float)
     out = np.empty((n, times.size))
-    out[:, 0] = ep_max_increment_sample(spec, times[0], rng, n)
+    out[:, 0] = _sample_max(spec.base, rng, n, times[0])
     for j in range(1, times.size):
-        jump = ep_max_increment_sample(spec, times[j] - times[j - 1], rng, n)
+        jump = _sample_max(spec.base, rng, n, times[j] - times[j - 1])
         out[:, j] = np.maximum(out[:, j - 1], jump)
     return out
 
@@ -78,18 +76,22 @@ def test_marginal_cdf_is_the_t_power():
         )
 
 
+# the quantile of the marginal F**t at u is _quantile_w(F, -log u, t), the
+# transform every increment and compound draw goes through
+
+
 def test_marginal_quantile_spot_values():
-    spec = ExtremalSpec(base_law(E1))
+    law = base_law(E1)
     # F(x)^t = u  with  F = exp(-1/x):  x = t / (-log u)
-    assert ep_marginal_quantile(spec, 0.5, np.exp(-1.0)) == pytest.approx(0.5, rel=1e-13)
-    assert ep_marginal_quantile(spec, 2.0, np.exp(-2.0)) == pytest.approx(1.0, rel=1e-13)
+    assert _quantile_w(law, -np.log(np.exp(-1.0)), 0.5) == pytest.approx(0.5, rel=1e-13)
+    assert _quantile_w(law, -np.log(np.exp(-2.0)), 2.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_marginal_quantile_inverts_marginal_cdf():
     spec = ExtremalSpec(g_mid(E1))
     u = np.linspace(0.01, 0.99, 99)
     for t in (0.5, 2.0):
-        x = ep_marginal_quantile(spec, t, u)
+        x = _quantile_w(spec.base, -np.log(u), t)
         np.testing.assert_allclose(ep_marginal_cdf(spec, t, x), u, rtol=0, atol=1e-10)
 
 
@@ -98,7 +100,7 @@ def test_marginal_quantile_collapse_below_the_float_floor():
     # below the smallest representable point park on it, and the d.f.
     # value there reports the collapsed mass honestly
     spec = ExtremalSpec(ggamma_mid(0.5, E1))
-    x = ep_marginal_quantile(spec, 0.5, 0.01)
+    x = _quantile_w(spec.base, -np.log(0.01), 0.5)
     assert x > 0.0
     assert ep_marginal_cdf(spec, 0.5, x) > 0.01  # collapsed mass sits above u
 
@@ -110,7 +112,7 @@ def test_time_validation():
         with pytest.raises(ValueError):
             ep_marginal_cdf(spec, bad, 1.0)
         with pytest.raises(ValueError):
-            ep_max_increment_sample(spec, bad, rng, 4)
+            ep_simulate_ensemble(spec, [bad], rng, 4)
 
 
 def test_paths_are_nondecreasing_and_deterministic():
@@ -125,14 +127,16 @@ def test_paths_are_nondecreasing_and_deterministic():
 
 
 def test_path_grid_validation():
+    spec = ExtremalSpec(g_mid(E1))
+    rng = RandomSource(5, 21).generator()
     with pytest.raises(ValueError):
-        PathGrid(np.array([0.0, 1.0]), np.array([1.0, 2.0]))  # times must be positive
+        ep_simulate_path(spec, [0.0, 1.0], rng)  # times must be positive
     with pytest.raises(ValueError):
-        PathGrid(np.array([2.0, 1.0]), np.array([1.0, 2.0]))  # strictly increasing
+        ep_simulate_path(spec, [2.0, 1.0], rng)  # strictly increasing
     with pytest.raises(ValueError):
-        PathGrid(np.array([1.0, np.inf]), np.array([1.0, 2.0]))  # finite
+        ep_simulate_path(spec, [1.0, np.inf], rng)  # finite
     with pytest.raises(ValueError):
-        PathGrid(np.array([1.0, 2.0]), np.array([1.0]))  # shape mismatch
+        ep_simulate_path(spec, [[1.0, 2.0]], rng)  # one-dimensional
 
 
 def test_ensemble_marginal_matches_power_law():
@@ -146,22 +150,11 @@ def test_ensemble_marginal_matches_power_law():
         assert report.passed, (t, report.statistic)
 
 
-def test_increments_are_time_homogeneous():
-    # max-increments over [0, s] and over shifted windows of equal length
-    # are identically distributed: two-sample check at the 1% band
-    spec = ExtremalSpec(gamma_mid(0.5, E1))
-    rng = RandomSource(7, 23).generator()
-    a = ep_max_increment_sample(spec, 0.7, rng, 20_000)
-    b = ep_max_increment_sample(spec, 0.7, rng, 20_000)
-    report = ks_two_sample(a, b)
-    assert report.passed, report.statistic
-
-
 def test_one_point_ensemble_matches_direct_increment_law():
     # Y(t) for a single time equals the max-increment over [0, t]
     spec = ExtremalSpec(g_mid(E1))
     a = ep_simulate_ensemble(spec, [3.0], RandomSource(8, 24).generator(), 20_000)[:, 0]
-    b = ep_max_increment_sample(spec, 3.0, RandomSource(9, 24).generator(), 20_000)
+    b = _sample_max(spec.base, RandomSource(9, 24).generator(), 20_000, 3.0)
     report = ks_two_sample(a, b)
     assert report.passed, report.statistic
 
@@ -173,14 +166,6 @@ def test_gamma_subordinator_mean_grows_linearly():
     assert np.all(draws >= 0.0)
 
 
-def test_gamma_subordinator_path_is_nondecreasing():
-    sub = SubordinatorSpec(SubKind.GAMMA)
-    times = np.array([0.5, 1.0, 2.0, 4.0])
-    path = subordinator_path(sub, times, RandomSource(11, 26).generator())
-    assert np.all(np.diff(path.values) >= 0.0)
-    assert np.all(path.values >= 0.0)
-
-
 def test_ggamma_subordinator_exists_at_unit_time_only():
     sub = SubordinatorSpec(SubKind.GGAMMA_UNIT, 2.0)
     rng = RandomSource(12, 27).generator()
@@ -188,10 +173,6 @@ def test_ggamma_subordinator_exists_at_unit_time_only():
     assert draws.shape == (100,)
     with pytest.raises(ValueError):
         subordinator_marginal(sub, 2.0, rng, 100)
-    with pytest.raises(ValueError):
-        subordinator_path(sub, [0.5, 1.0], rng)
-    path = subordinator_path(sub, [1.0], RandomSource(12, 28).generator())
-    assert path.values.shape == (1,)
 
 
 def test_compound_marginal_closed_forms():

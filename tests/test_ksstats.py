@@ -7,8 +7,6 @@ from maxdiv import (
     RandomSource,
     cdf_validity_gap,
     critical_one_sample,
-    critical_two_sample,
-    ecdf,
     frechet,
     g_mid,
     ggamma_mid,
@@ -17,25 +15,9 @@ from maxdiv import (
     quantile_grid,
     sup_norm_grid,
 )
-from maxdiv.ksstats import _KS_BLOCK
+from maxdiv.ksstats import _KS_BLOCK, critical_two_sample
 
 E1 = frechet(1.0)
-
-
-def test_ecdf_step_values():
-    samples = np.array([1.0, 2.0, 3.0])
-    grid = np.array([0.5, 1.0, 2.5, 3.0, 9.0])
-    np.testing.assert_allclose(ecdf(samples, grid), [0.0, 1 / 3, 2 / 3, 1.0, 1.0])
-
-
-def test_ecdf_handles_ties():
-    samples = np.array([2.0, 2.0, 2.0, 5.0])
-    np.testing.assert_allclose(ecdf(samples, np.array([1.9, 2.0, 4.9, 5.0])), [0.0, 0.75, 0.75, 1.0])
-
-
-def test_ecdf_rejects_empty():
-    with pytest.raises(ValueError):
-        ecdf(np.array([]), np.array([1.0]))
 
 
 def test_critical_band_constants():
@@ -129,6 +111,19 @@ def test_degenerate_sample_fails():
     report = ks_one_sample(np.full(1000, 1.0), g_mid(E1))
     assert not report.passed
     assert report.statistic >= 0.5  # all mass at the median of this law
+
+
+def test_ks_rejects_a_sample_that_is_not_one_dimensional():
+    # an ensemble's columns follow different laws: no flattening
+    ensemble = np.full((100, 2), 1.0)
+    with pytest.raises(ValueError, match=r"shape \(100, 2\)"):
+        ks_one_sample(ensemble, g_mid(E1))
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        ks_one_sample(1.0, g_mid(E1).cdf)
+    with pytest.raises(ValueError, match=r"shape \(100, 2\)"):
+        ks_two_sample(ensemble, ensemble[:, 0])
+    with pytest.raises(ValueError, match=r"shape \(100, 2\)"):
+        ks_two_sample(ensemble[:, 0], ensemble)
 
 
 def test_two_sample_identical_and_disjoint():

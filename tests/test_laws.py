@@ -6,27 +6,33 @@ import numpy as np
 import pytest
 
 from maxdiv import (
+    Ar1Spec,
     ExtremalSpec,
     LawKind,
     MaxLaw,
     RandomSource,
     SubKind,
     SubordinatorSpec,
+    ar1_ensemble,
+    ar1_simulate,
     base_law,
     compound_marginal_cdf,
+    compound_simulate,
     ep_marginal_cdf,
+    ep_simulate_ensemble,
     frechet,
     g_mid,
     gamma_mid,
     geo_max_cdf,
+    geo_max_sample,
     ggamma_mid,
     gumbel,
     ks_two_sample,
     law_from_dict,
     law_to_dict,
     lt_ggamma,
-    quantile_neg_log,
     sample_ggamma,
+    subordinator_marginal,
     weibull,
 )
 
@@ -147,17 +153,6 @@ def test_quantile_rejects_closed_endpoints():
             law.quantile(bad)
 
 
-def test_quantile_neg_log_matches_quantile():
-    law = ggamma_mid(2.0, E1)
-    u = np.linspace(0.005, 0.995, 200)
-    np.testing.assert_allclose(
-        quantile_neg_log(law, -np.log(u)), law.quantile(u), rtol=1e-12, atol=0.0
-    )
-    for bad in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError):
-            quantile_neg_log(law, bad)
-
-
 def test_deep_lower_quantile_stays_inside_support():
     # below the smallest representable point the quantile parks on it
     law = ggamma_mid(0.5, E1)
@@ -230,6 +225,33 @@ def test_sample_size_validation():
             route(rng, 0)
         with pytest.raises(ValueError):
             route(rng, -5)
+
+
+SAMPLERS = {
+    "sample_inverse": lambda rng, n: ggamma_mid(0.5, E1).sample_inverse(rng, n),
+    "sample_latent": lambda rng, n: ggamma_mid(0.5, E1).sample_latent(rng, n),
+    "geo_max_sample": lambda rng, n: geo_max_sample(ggamma_mid(0.5, E1), 0.3, rng, n),
+    "sample_ggamma": lambda rng, n: sample_ggamma(0.5, rng, n),
+    "subordinator_marginal": lambda rng, n: subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), 2.0, rng, n),
+    "compound_simulate": lambda rng, n: compound_simulate(
+        ExtremalSpec(g_mid(E1)), SubordinatorSpec(SubKind.GAMMA), 2.0, rng, n
+    ),
+    "ep_simulate_ensemble": lambda rng, n: ep_simulate_ensemble(ExtremalSpec(g_mid(E1)), [0.5, 1.0], rng, n),
+    "ar1_simulate": lambda rng, n: ar1_simulate(Ar1Spec(0.3, 1.0, E1), n, rng),
+    "ar1_ensemble": lambda rng, n: ar1_ensemble(Ar1Spec(0.3, 1.0, E1), 5, rng, n),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_samplers_take_a_whole_number_of_draws(sampler):
+    # unchecked, numpy rejects 2.5, NaN and inf with a TypeError, and 3.0 too
+    draw = SAMPLERS[sampler]
+    for bad in (0, -3, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            draw(RandomSource(0).generator(), bad)
+    three = draw(RandomSource(0).generator(), 3)
+    assert len(three) == 3
+    assert draw(RandomSource(0).generator(), 3.0).tobytes() == three.tobytes()
 
 
 def test_inverse_and_latent_routes_agree():

@@ -48,6 +48,20 @@ def test_source_validation():
             RandomSource(0, 0).substream(bad)
 
 
+def test_source_rejects_an_index_that_is_not_an_integer():
+    for bad in (1.5, 2.0, -0.0, "3"):
+        with pytest.raises(ValueError):
+            RandomSource(bad)
+        with pytest.raises(ValueError):
+            RandomSource(0, bad)
+    with pytest.raises(ValueError):
+        RandomSource(0).substream(1.0)
+    # numpy integers and bools are integers: they address the same stream as an int
+    same = RandomSource(np.int64(5), True).substream(np.uint8(2))
+    assert same == RandomSource(5, 1).substream(2)
+    np.testing.assert_array_equal(same.generator().random(8), RandomSource(5, 1, (2,)).generator().random(8))
+
+
 def test_uniform_open_stays_inside_the_open_interval():
     rng = RandomSource(0, 0).generator()
     draws = uniform_open(rng, 10_000)
