@@ -48,15 +48,15 @@ __all__ = [
 class CdfExpr:
     """A distribution function with an explicit -log channel.
 
-    The neg_log channel is what downstream operators compose; it stays
-    accurate where the plain d.f. value would round to 0 or 1.  When the
-    expression is known to have the form 1/(1 + scale*psi) the structure
-    is kept (gmid_scale, exponent) so exponent-scaling operators can act
-    on it exactly.
+    The neg_log_cdf channel, named as on MaxLaw, is what downstream
+    operators compose; it stays accurate where the plain d.f. value would
+    round to 0 or 1.  When the expression is known to have the form
+    1/(1 + scale*psi) the structure is kept (gmid_scale, exponent) so
+    exponent-scaling operators can act on it exactly.
     """
 
     tag: str
-    neg_log: Callable
+    neg_log_cdf: Callable
     cdf_fn: Callable | None = None
     gmid_scale: float | None = None
     exponent: Exponent | None = None
@@ -64,7 +64,7 @@ class CdfExpr:
     def cdf(self, x):
         if self.cdf_fn is not None:
             return self.cdf_fn(x)
-        v, scalar = _as_array(self.neg_log(x))
+        v, scalar = _as_array(self.neg_log_cdf(x))
         return _unwrap(np.exp(-v), scalar)
 
     def __call__(self, x):
@@ -75,28 +75,24 @@ def expr_from_law(law: MaxLaw) -> CdfExpr:
     tag = f"{law.kind.value}({law.exponent.family.value},alpha={law.exponent.alpha:g},beta={law.beta:g})"
     return CdfExpr(
         tag=tag,
-        neg_log=law.neg_log_cdf,
+        neg_log_cdf=law.neg_log_cdf,
         cdf_fn=law.cdf,
         gmid_scale=_KINDS[law.kind].gmid_scale,
         exponent=law.exponent,
     )
 
 
-def _cdf_values(h, x):
-    if callable(h) and not isinstance(h, (CdfExpr, MaxLaw)):
-        return h(x)
-    return h.cdf(x)
-
-
 def geo_max_cdf(h, p, x):
     """d.f. of the maximum of a geometric(p) number of i.i.d. H draws.
 
-    h may be a CdfExpr, a MaxLaw, or any vectorized d.f. callable.  The
-    rational form is evaluated literally; results are clipped to [0, 1]
-    to absorb one-ulp overshoot at H = 1.
+    h is a MaxLaw, read through its cdf, or any vectorized d.f.
+    callable, a CdfExpr included.  The rational form is evaluated
+    literally; results are clipped to [0, 1] to absorb one-ulp overshoot
+    at H = 1.
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
-    hv, scalar = _as_array(_cdf_values(h, x))
+    fn = h.cdf if isinstance(h, MaxLaw) else h
+    hv, scalar = _as_array(fn(x))
     out = np.clip(p * hv / (1.0 - (1.0 - p) * hv), 0.0, 1.0)
     return _unwrap(out, scalar)
 
@@ -129,7 +125,7 @@ def scale_exponent(h: CdfExpr, a: float) -> CdfExpr:
     scale = a * h.gmid_scale
     exponent = h.exponent
 
-    def neg_log(x):
+    def neg_log_cdf(x):
         return np.log1p(scale * exponent.eval(x))
 
     def cdf_fn(x):
@@ -137,7 +133,7 @@ def scale_exponent(h: CdfExpr, a: float) -> CdfExpr:
 
     return CdfExpr(
         tag=f"scale({h.tag},a={a:g})",
-        neg_log=neg_log,
+        neg_log_cdf=neg_log_cdf,
         cdf_fn=cdf_fn,
         gmid_scale=scale,
         exponent=exponent,
@@ -166,9 +162,9 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
     base kind, one application gives the 1/(1+psi) law and two give the
     log-compounded law with unit shape.
     """
-    inner = f.neg_log
+    inner = f.neg_log_cdf
 
-    def neg_log(x):
+    def neg_log_cdf(x):
         v, scalar = _as_array(inner(x))
         return _unwrap(np.log1p(v), scalar)
 
@@ -176,14 +172,14 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
         v, scalar = _as_array(inner(x))
         return _unwrap(1.0 / (1.0 + v), scalar)
 
-    return CdfExpr(tag=f"iterate({f.tag})", neg_log=neg_log, cdf_fn=cdf_fn)
+    return CdfExpr(tag=f"iterate({f.tag})", neg_log_cdf=neg_log_cdf, cdf_fn=cdf_fn)
 
 
 def n_max_cdf(law, n: int, x):
-    """d.f. of the maximum of n i.i.d. draws: F(x)**n via the -log channel."""
+    """d.f. of the maximum of n i.i.d. draws: F(x)**n via the
+    neg_log_cdf channel of law, a MaxLaw or a CdfExpr."""
     positive_integer(n)
-    neg_log = law.neg_log_cdf if isinstance(law, MaxLaw) else law.neg_log
-    v, scalar = _as_array(neg_log(x))
+    v, scalar = _as_array(law.neg_log_cdf(x))
     return _unwrap(np.exp(-float(n) * v), scalar)
 
 

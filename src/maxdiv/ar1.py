@@ -39,6 +39,7 @@ import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
 from .exponents import Exponent, _as_array, _unwrap
+from .extremal import _running_max
 from .laws import MaxLaw, _neg_log, _quantile_w, _sample_max, ggamma_mid
 from .rng import uniform_open
 
@@ -99,29 +100,6 @@ def _marginal(spec: Ar1Spec, u: np.ndarray) -> np.ndarray:
     return _quantile_w(spec.marginal_law(), _neg_log(u))
 
 
-def _segmented_running_max(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Running maximum of values, restarted at every index where heads is set.
-
-    A doubling scan: after the pass with step s, x[i] is the maximum of
-    the last 2s values up to i within its segment.  Each pass takes
-    x[i - s] into x[i] unless x[i] > x[i - s], so ties keep the earlier
-    element (max(-0.0, 0.0) stays -0.0) and a NaN X_0 holds its segment
-    to the end, as a step-by-step max(previous, new) does; innovations
-    are never NaN.  np.maximum would not do: which zero it returns on a
-    +-0 tie is left to the platform.
-    """
-    idx = np.arange(values.size)
-    pos = idx - np.maximum.accumulate(np.where(heads, idx, 0))  # steps since the head
-    x = values.copy()
-    step, top = 1, pos.max(initial=0)
-    while step <= top:
-        take = pos[step:] >= step
-        take &= ~(x[step:] > x[:-step])
-        np.copyto(x[step:], x[:-step], where=take)  # copies the overlapping source first
-        step *= 2
-    return x
-
-
 def ar1_simulate(
     spec: Ar1Spec,
     n_steps: int,
@@ -134,7 +112,8 @@ def ar1_simulate(
     init = None draws X_0 from the stationary marginal; a number fixes
     X_0.  Branch uniforms for the whole chain are drawn first (u < p is
     a reset), then X_0, then the innovations, so equal-seed runs
-    reproduce byte for byte.
+    reproduce byte for byte.  The chain is the running-max scan of
+    extremal paths, restarted at each reset.
     """
     n_steps = positive_integer(n_steps, "n_steps")
     u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
@@ -143,9 +122,9 @@ def ar1_simulate(
     else:
         x0 = float(init)
     eps = _innovations(spec, rng, n_steps - 1, innovation_beta) if n_steps > 1 else np.empty(0)
-    values = np.concatenate(([x0], eps))
-    heads = np.concatenate(([True], u < spec.p))
-    return _segmented_running_max(values, heads)
+    steps = np.arange(n_steps)
+    last_reset = np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))
+    return _running_max(np.concatenate(([x0], eps)), since=steps - last_reset)
 
 
 def ar1_ensemble(

@@ -121,27 +121,37 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
         block = _sample_max(spec.base, rng, (min(rows, times.size - j), n), dt[j : j + rows, None])
         if j:
             np.maximum(out[:, j - 1], block[0], out=block[0])
-        _running_max_rows(block)
-        out[:, j : j + rows] = block.T
+        out[:, j : j + rows] = _running_max(block).T
     return out
 
 
-def _running_max_rows(block: np.ndarray) -> None:
-    """In place, row i becomes the elementwise max of rows 0..i.
+def _running_max(x: np.ndarray, since: np.ndarray | None = None) -> np.ndarray:
+    """In place along axis 0, x[i] becomes the max of x[i - since[i]]
+    .. x[i] (of x[0] .. x[i] when since is None); returns x.
 
-    A doubling scan: ceil(log2(rows)) vectorised maxima over contiguous
-    rows.  np.maximum.accumulate(axis=0) runs its inner loop once per
-    column, ~7 ns per element, which for wide blocks of few rows costs
-    more than drawing them.  The max of a set does not depend on the
-    order of comparisons, so this equals a sequential running max for
-    values that hold no NaN and no zeros of both signs; quantile draws
-    are never NaN and their only zero is -0.0.
+    A doubling scan of ceil(log2(len)) vectorised passes: after the pass
+    with step s, x[i] is the max of the last 2s values up to i.
+    np.maximum.accumulate(axis=0) runs its inner loop once per column,
+    ~7 ns per element, which for wide blocks of few rows costs more than
+    drawing them.  With since, a pass takes x[i - s] into x[i] where
+    since[i] >= s, unless x[i] > x[i - s], so ties keep the earlier value
+    (max(-0.0, 0.0) stays -0.0) and a NaN heading a segment holds it to
+    the end, as a step-by-step max(previous, new) does.  Without since a
+    pass is np.maximum, whose zero on a +-0 tie is left to the platform;
+    that is exact for quantile draws, which are never NaN and whose only
+    zero is -0.0.
     """
-    step = 1
-    while step < block.shape[0]:
-        # numpy buffers the overlapping operands, so each pass reads the previous one
-        np.maximum(block[:-step], block[step:], out=block[step:])
+    step, top = 1, x.shape[0] - 1 if since is None else since.max(initial=0)
+    while step <= top:
+        if since is None:
+            # numpy buffers the overlapping operands, so each pass reads the previous one
+            np.maximum(x[:-step], x[step:], out=x[step:])
+        else:
+            take = since[step:] >= step
+            take &= ~(x[step:] > x[:-step])
+            np.copyto(x[step:], x[:-step], where=take)  # copies the overlapping source first
         step *= 2
+    return x
 
 
 def ep_simulate_path(spec: ExtremalSpec, times, rng: np.random.Generator) -> PathGrid:

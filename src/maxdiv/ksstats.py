@@ -131,6 +131,7 @@ def quantile_grid(law: MaxLaw, lo: float = 0.001, hi: float = 0.999, count: int 
     """Grid of law quantiles at count equally spaced u in [lo, hi]."""
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"need 0 < lo < hi < 1, got {lo}, {hi}")
+    count = positive_integer(count, "count")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     return law.quantile(np.linspace(lo, hi, count))

@@ -272,14 +272,15 @@ def verify(theorem_id: str, seed: int = 0) -> VerificationReport:
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown check {theorem_id!r}; known: {', '.join(CHECK_IDS)}")
     mode, tolerance, check = _CHECKS[theorem_id]
-    discrepancy, detail = check(RandomSource(seed, STREAM_BLOCK + CHECK_IDS.index(theorem_id)))
+    source = RandomSource(seed, STREAM_BLOCK + CHECK_IDS.index(theorem_id))
+    discrepancy, detail = check(source)
     return VerificationReport(
         theorem_id=theorem_id,
         mode=mode,
         discrepancy=float(discrepancy),
         tolerance=float(tolerance),
         passed=bool(discrepancy < tolerance),
-        seed=seed,
+        seed=source.seed,
         detail=detail,
     )
 

@@ -68,11 +68,13 @@ def test_geo_max_spot_value():
 
 
 def test_geo_max_accepts_plain_callables():
+    # a law, its d.f. callable and its expression give the same bits
     law = g_mid(E1)
-    x = np.array([0.5, 1.0, 4.0])
+    x = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 4.0, np.inf, np.nan])
     via_law = geo_max_cdf(law, 0.3, x)
-    via_callable = geo_max_cdf(law.cdf, 0.3, x)
-    np.testing.assert_array_equal(via_law, via_callable)
+    for h in (law.cdf, expr_from_law(law)):
+        assert geo_max_cdf(h, 0.3, x).tobytes() == via_law.tobytes()
+        assert geo_max_cdf(h, 0.3, 1.0) == geo_max_cdf(law, 0.3, 1.0)
 
 
 def test_geo_max_with_p_one_is_identity():
@@ -155,7 +157,13 @@ def test_n_max_cdf_is_the_nth_power():
 
 
 def test_n_max_cdf_accepts_expressions_and_validates_n():
-    expr = expr_from_law(g_mid(E1))
+    # a law, its expression and a bare neg_log_cdf channel give the same bits
+    law = g_mid(E1)
+    expr = expr_from_law(law)
+    x = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 4.0, np.inf, np.nan])
+    for h in (expr, CdfExpr(tag="bare", neg_log_cdf=law.neg_log_cdf)):
+        assert n_max_cdf(h, 3, x).tobytes() == n_max_cdf(law, 3, x).tobytes()
+        assert n_max_cdf(h, 3, 1.0) == n_max_cdf(law, 3, 1.0)
     assert n_max_cdf(expr, 2, 1.0) == pytest.approx(0.25, rel=0, abs=1e-15)
     assert n_max_cdf(expr, 2.0, 1.0) == n_max_cdf(expr, 2, 1.0)
     for bad in (0, -1, 2.5, np.inf, np.nan):
@@ -281,5 +289,5 @@ def test_expr_from_law_keeps_rational_structure_only_for_gmid():
 
 
 def test_cdf_expr_call_and_neg_log_fallback():
-    expr = CdfExpr(tag="unit", neg_log=lambda x: np.asarray(x, dtype=float) * 0.0 + 1.0)
+    expr = CdfExpr(tag="unit", neg_log_cdf=lambda x: np.asarray(x, dtype=float) * 0.0 + 1.0)
     assert expr(123.0) == pytest.approx(np.exp(-1.0), rel=0, abs=0)

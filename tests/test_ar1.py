@@ -19,7 +19,7 @@ from maxdiv import (
     stationary_innovation_shape,
     weibull,
 )
-from maxdiv.ar1 import _segmented_running_max
+from maxdiv.extremal import _running_max
 from maxdiv.ksstats import critical_two_sample
 from maxdiv.laws import _sample_max
 
@@ -164,7 +164,9 @@ def test_segmented_running_max_breaks_ties_like_python_max():
     expected = []
     for value, head in zip(values.tolist(), heads.tolist()):
         expected.append(value if head else max(expected[-1], value))
-    got = _segmented_running_max(values, heads)
+    steps = np.arange(values.size)
+    since = steps - np.maximum.accumulate(np.where(heads, steps, 0))
+    got = _running_max(values.copy(), since)
     assert got.tobytes() == np.array(expected).tobytes()
 
 

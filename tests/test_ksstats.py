@@ -174,6 +174,14 @@ def test_quantile_grid_properties():
         quantile_grid(law, count=1)
 
 
+def test_quantile_grid_takes_a_whole_number_count():
+    law = g_mid(E1)
+    assert quantile_grid(law, count=3.0).tobytes() == quantile_grid(law, count=3).tobytes()
+    for bad in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="count"):
+            quantile_grid(law, count=bad)
+
+
 def test_validity_gap_is_zero_for_true_dfs():
     for law in (g_mid(E1), ggamma_mid(0.5, E1)):
         gap = cdf_validity_gap(law, quantile_grid(law), 0.0, np.inf)

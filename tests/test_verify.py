@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,14 @@ def test_report_dict_shape():
         "seed": 5,
         "detail": "",
     }
+
+
+def test_report_carries_the_seed_the_stream_was_built_from():
+    # numpy integers and bools are accepted as seeds; the report stores the int
+    for given, used in ((np.int64(3), 3), (True, 1)):
+        report = verify("T2_1", given)
+        assert type(report.seed) is int and report.seed == used
+        assert json.loads(json.dumps(report_to_dict(report)))["seed"] == used
 
 
 def test_format_report_line():

@@ -54,6 +54,9 @@ MATRIX = (
     "table --kind g-mid --family gumbel --grid -5:20:200",
     "table --kind ggamma-mid --family gumbel --beta 0.5 --qgrid 0.001:0.999:500",
     "ep --path --family weibull --alpha 1.7 --times 0.5:3:2000 --seed 3",
+    # more points than one 2**16-variate block: the running max folds the first
+    # block's last column into the second and scans 16 passes in the first
+    "ep --path --times 0.5:3:70000 --seed 3",
     "ar1 --p 0.3 --beta 2 --alpha 1.7 --steps 5000 --seed 5",
     "ar1 --p 0.5 --beta 1 --alpha 1.7 --check --seed 5",
     # ar1 --check hashes a KS statistic, which keeps its value under any change
@@ -105,6 +108,25 @@ for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
     for init in (None, 2.0):
         draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000, init=init)
         sys.stdout.buffer.write(draws.tobytes())
+""",
+    # one d.f. given as a law, as expressions and as a plain callable
+    "geo_max_cdf, n_max_cdf and cdf_validity_gap over every d.f. argument form": """
+import sys
+import numpy as np
+import maxdiv
+values = []
+for law in (maxdiv.g_mid(maxdiv.frechet(1.7)), maxdiv.g_mid(maxdiv.weibull(1.7)), maxdiv.ggamma_mid(0.5, maxdiv.gumbel())):
+    grid = maxdiv.quantile_grid(law, count=257)
+    expr = maxdiv.expr_from_law(law)
+    forms = [law, expr, maxdiv.iterate_transform(expr)]
+    if expr.gmid_scale is not None:
+        forms.append(maxdiv.scale_exponent(expr, 2.5))
+    for h in forms:
+        values.append(maxdiv.n_max_cdf(h, 3, grid))
+    for h in forms + [law.cdf, lambda x: law.cdf(x) ** 2]:
+        values.append(maxdiv.geo_max_cdf(h, 0.3, grid))
+        values.append([maxdiv.cdf_validity_gap(h, grid, -np.inf, np.inf)])
+sys.stdout.buffer.write(np.concatenate(values).tobytes())
 """,
 }
 
