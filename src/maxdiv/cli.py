@@ -11,41 +11,36 @@ with numpy a block of 65,536 rows at a time and written in binary mode,
 so every line ends in "\\n" on every platform.  The step index of
 ar1 is an integral float below 2**53, so it prints as its "%d" digits.
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+
+Only click is imported here: each command imports the layers it runs
+(and numpy, json, the check registry) in its body, so --help, click's
+usage errors and shell completion load no layer and no numpy, and a
+command compiles only the modules it uses.
 """
 
 from __future__ import annotations
 
-import json
+import math
 
 import click
-import numpy as np
-
-from ._csv import csv_blocks
-from .ar1 import Ar1Spec, ar1_simulate
-from .exponents import Exponent, Family
-from .extremal import (
-    ExtremalSpec,
-    SubordinatorSpec,
-    compound_simulate,
-    ep_simulate_path,
-)
-from .laws import LawKind, MaxLaw
-from .rng import RandomSource
-from .verify import AR1_LAG, CHECK_IDS, MC_SIZE, _ar1_draw, _mc_cell, format_report, report_to_dict
-from .verify import verify as run_check
 
 __all__ = ["main"]
 
-_KINDS = tuple(kind.value for kind in LawKind)
-_FAMILIES = tuple(family.value for family in Family)
+# literals, so that --help and click's usage errors need no layer and no numpy;
+# tests pin them to LawKind, Family, verify.MC_SIZE and verify.AR1_LAG
+_KINDS = ("base", "g-mid", "gamma-mid", "ggamma-mid")
+_FAMILIES = ("frechet", "weibull", "gumbel")
 
 # ar1 --check runs one T3_3 cell of the verification registry; the
 # benchmark oracle in perfbench/workloads.py reads these two sizes
-AR1_CHECK_CHAINS = MC_SIZE
-AR1_CHECK_LAG = AR1_LAG
+AR1_CHECK_CHAINS = 100_000
+AR1_CHECK_LAG = 100
 
 
-def _law(kind: str, family: str, alpha: float, beta: float) -> MaxLaw:
+def _law(kind: str, family: str, alpha: float, beta: float):
+    from .exponents import Exponent
+    from .laws import MaxLaw
+
     return MaxLaw(kind, Exponent(family, alpha), beta)
 
 
@@ -54,6 +49,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"grid must be LO:HI:COUNT, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    # an inf or NaN bound, or a span beyond float range, gives np.linspace NaN points
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid needs finite LO, HI and HI - LO, got {text!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     if count > 1 and not lo < hi:
@@ -63,6 +61,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 def _write_csv(out: str, header: str, *columns) -> None:
     """The header, then row i of the float64 columns, each value as %.17g."""
+    from ._csv import csv_blocks
+
     with click.open_file(out, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for block in csv_blocks(columns):
@@ -96,6 +96,8 @@ def main() -> None:
 @out_option
 def table(kind, family, alpha, beta, grid_spec, qgrid_spec, out) -> None:
     """Write rows (x, cdf, neg_log_cdf) on a grid."""
+    import numpy as np
+
     try:
         law = _law(kind, family, alpha, beta)
         if qgrid_spec is not None:
@@ -123,6 +125,8 @@ def table(kind, family, alpha, beta, grid_spec, qgrid_spec, out) -> None:
 @out_option
 def sample(kind, family, alpha, beta, n, route, seed, stream, out) -> None:
     """Write n draws from a law, one per row."""
+    from .rng import RandomSource
+
     try:
         law = _law(kind, family, alpha, beta)
         rng = RandomSource(seed, stream).generator()
@@ -153,6 +157,11 @@ def ep(base_kind, family, alpha, beta, path_mode, times, sub_kind, sub_beta, t_v
     """Extremal process: path rows (t, value) or compound draws at time t."""
     if path_mode == (sub_kind is not None):
         raise click.UsageError("choose exactly one of --path or --compound")
+    import numpy as np
+
+    from .extremal import ExtremalSpec, SubordinatorSpec, compound_simulate, ep_simulate_path
+    from .rng import RandomSource
+
     try:
         spec = ExtremalSpec(_law(base_kind, family, alpha, beta))
         rng = RandomSource(seed, stream).generator()
@@ -182,10 +191,20 @@ def ep(base_kind, family, alpha, beta, path_mode, times, sub_kind, sub_beta, t_v
 @click.pass_context
 def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, stream, out) -> None:
     """Simulate the max-AR(1) chain or check its stationary marginal."""
+    import numpy as np
+
+    from .ar1 import Ar1Spec, ar1_simulate
+    from .exponents import Exponent
+    from .rng import RandomSource
+
     try:
         spec = Ar1Spec(p, beta, Exponent(family, alpha))
         rng = RandomSource(seed, stream).generator()
         if check_mode:
+            import json
+
+            from .verify import _ar1_draw, _mc_cell
+
             draws = _ar1_draw(spec, innovation_beta)(rng, AR1_CHECK_CHAINS)
             report = _mc_cell(draws, beta, spec.exponent)
             summary = {
@@ -213,6 +232,10 @@ def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, s
 @click.pass_context
 def verify_cmd(ctx, checks, seed, out) -> None:
     """Run registered checks (default: all) and print one line each."""
+    from .rng import RandomSource
+    from .verify import CHECK_IDS, format_report, report_to_dict
+    from .verify import verify as run_check
+
     try:
         RandomSource(seed)  # every check draws from a source under this seed
     except ValueError as exc:
@@ -229,6 +252,8 @@ def verify_cmd(ctx, checks, seed, out) -> None:
     for report in reports:
         click.echo(format_report(report))
     if out is not None:
+        import json
+
         with click.open_file(out, "w") as fh:
             fh.write(json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n")
     if not all(r.passed for r in reports):

@@ -103,7 +103,7 @@ _KINDS = {
         neg_log=lambda s, b: np.multiply(b, np.log1p(s, out=s), out=s),
         cdf=lambda s, b: np.exp(np.multiply(-b, np.log1p(s, out=s), out=s), out=s),
         s_of_w=lambda w, b, out: np.expm1(np.divide(w, b, out=out), out=out),
-        mixing=lambda b, rng, n: rng.gamma(b, 1.0, n),
+        mixing=lambda b, rng, n: rng.standard_gamma(b, n),
     ),
     LawKind.GGAMMA_MID: _Kind(
         neg_log=lambda s, b: np.log1p(np.multiply(b, np.log1p(s, out=s), out=s), out=s),
@@ -257,7 +257,7 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None
     while np.any(shape == 0.0):
         zero = shape == 0.0
         shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
-    t = rng.gamma(shape, 1.0, n)
+    t = rng.standard_gamma(shape, n)
     return float(t[0]) if size is None else t
 
 

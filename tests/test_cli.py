@@ -61,6 +61,24 @@ def test_table_rejects_malformed_grid(runner):
     assert runner.invoke(main, ["table", "--kind", "cauchy"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--grid", "0:inf:3"],
+        ["table", "--grid", "-inf:1:3", "--family", "gumbel"],
+        ["table", "--grid", "1:inf:1"],
+        ["table", "--grid", "nan:1:1"],
+        ["table", "--grid", "-1.7e308:1.7e308:3", "--family", "gumbel"],
+        ["table", "--qgrid", "0.1:inf:3"],
+        ["ep", "--path", "--times", "0.5:inf:3"],
+    ],
+)
+def test_grid_bounds_must_be_finite(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "finite" in result.output
+
+
 def test_sample_is_seed_deterministic(runner):
     args = ["sample", "--n", "50", "--seed", "9"]
     a = runner.invoke(main, args)

@@ -35,6 +35,7 @@ from maxdiv import (
     subordinator_marginal,
     weibull,
 )
+from maxdiv.laws import _KINDS
 
 E1 = frechet(1.0)
 ALL_EXPONENTS = (frechet(1.0), frechet(2.0), weibull(1.0), weibull(2.0), gumbel())
@@ -298,6 +299,33 @@ def test_sample_ggamma_returns_inf_for_a_shape_beyond_float_range():
     assert draws.shape == (100,)
     assert np.all(draws > 0.0)
     assert 0 < np.count_nonzero(np.isinf(draws)) < 100
+
+
+@pytest.mark.parametrize("size", [None, 10_000])
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
+def test_gamma_draws_are_the_bits_of_unit_scale_rng_gamma(shape, size):
+    # the three gamma sites draw rng.standard_gamma(shape, n); numpy's
+    # rng.gamma(shape, 1.0, n) is 1.0 times that on the same stream
+    n = 1 if size is None else size
+    sites = {
+        "sample_ggamma": (
+            lambda rng: sample_ggamma(shape, rng, size),
+            lambda rng: rng.gamma(shape * rng.standard_exponential(n), 1.0, n),
+        ),
+        "gamma-mid mixing": (
+            lambda rng: _KINDS[LawKind.GAMMA_MID].mixing(shape, rng, n),
+            lambda rng: rng.gamma(shape, 1.0, n),
+        ),
+        "subordinator_marginal": (
+            lambda rng: subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), shape, rng, size),
+            lambda rng: rng.gamma(shape, 1.0, n),
+        ),
+    }
+    for name, (site, reference) in sites.items():
+        rng, twin = RandomSource(5).generator(), RandomSource(5).generator()
+        draws, expected = np.asarray(site(rng), dtype=float).reshape(-1), reference(twin)
+        assert draws.tobytes() == expected.tobytes(), name
+        assert rng.random(4).tobytes() == twin.random(4).tobytes(), name
 
 
 def test_lt_ggamma_closed_form():
