@@ -30,7 +30,8 @@ import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
 from .exponents import Exponent, Family, _as_array, _unwrap
-from .laws import _KINDS, MaxLaw, _neg_log_uniform, _quantile_w
+from .laws import _KINDS, MaxLaw, _neg_log, _quantile_w
+from .rng import uniform_open
 
 __all__ = [
     "expr_from_law",
@@ -50,33 +51,25 @@ class CdfExpr:
 
     The neg_log_cdf channel, named as on MaxLaw, is what downstream
     operators compose; it stays accurate where the plain d.f. value would
-    round to 0 or 1.  When the expression is known to have the form
-    1/(1 + scale*psi) the structure is kept (gmid_scale, exponent) so
-    exponent-scaling operators can act on it exactly.
+    round to 0 or 1.  cdf is the d.f. in closed form.  When the
+    expression is known to have the form 1/(1 + scale*psi) the structure
+    is kept (gmid_scale, exponent) so exponent-scaling operators can act
+    on it exactly.
     """
 
-    tag: str
     neg_log_cdf: Callable
-    cdf_fn: Callable | None = None
+    cdf: Callable
     gmid_scale: float | None = None
     exponent: Exponent | None = None
-
-    def cdf(self, x):
-        if self.cdf_fn is not None:
-            return self.cdf_fn(x)
-        v, scalar = _as_array(self.neg_log_cdf(x))
-        return _unwrap(np.exp(-v), scalar)
 
     def __call__(self, x):
         return self.cdf(x)
 
 
 def expr_from_law(law: MaxLaw) -> CdfExpr:
-    tag = f"{law.kind.value}({law.exponent.family.value},alpha={law.exponent.alpha:g},beta={law.beta:g})"
     return CdfExpr(
-        tag=tag,
         neg_log_cdf=law.neg_log_cdf,
-        cdf_fn=law.cdf,
+        cdf=law.cdf,
         gmid_scale=_KINDS[law.kind].gmid_scale,
         exponent=law.exponent,
     )
@@ -105,7 +98,7 @@ def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = 
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
     n = positive_integer(1 if size is None else size, "size")
-    w = _neg_log_uniform(rng, n)
+    w = _neg_log(uniform_open(rng, n))
     if p < 1.0:
         np.log1p(np.multiply(p, np.expm1(w, out=w), out=w), out=w)
     out = _quantile_w(law, w)
@@ -128,13 +121,12 @@ def scale_exponent(h: CdfExpr, a: float) -> CdfExpr:
     def neg_log_cdf(x):
         return np.log1p(scale * exponent.eval(x))
 
-    def cdf_fn(x):
+    def cdf(x):
         return 1.0 / (1.0 + scale * exponent.eval(x))
 
     return CdfExpr(
-        tag=f"scale({h.tag},a={a:g})",
         neg_log_cdf=neg_log_cdf,
-        cdf_fn=cdf_fn,
+        cdf=cdf,
         gmid_scale=scale,
         exponent=exponent,
     )
@@ -168,11 +160,11 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
         v, scalar = _as_array(inner(x))
         return _unwrap(np.log1p(v), scalar)
 
-    def cdf_fn(x):
+    def cdf(x):
         v, scalar = _as_array(inner(x))
         return _unwrap(1.0 / (1.0 + v), scalar)
 
-    return CdfExpr(tag=f"iterate({f.tag})", neg_log_cdf=neg_log_cdf, cdf_fn=cdf_fn)
+    return CdfExpr(neg_log_cdf=neg_log_cdf, cdf=cdf)
 
 
 def n_max_cdf(law, n: int, x):

@@ -69,10 +69,6 @@ def _write_csv(out: str, header: str, *columns) -> None:
             fh.write(block)
 
 
-def _usage(exc: Exception) -> "click.UsageError":
-    return click.UsageError(str(exc))
-
-
 seed_option = click.option("--seed", type=int, default=0, envvar="MAXDIV_SEED", show_default=True, help="Random seed (env MAXDIV_SEED).")
 stream_option = click.option("--stream", type=int, default=0, show_default=True, help="Independent substream index.")
 out_option = click.option("--out", default="-", show_default=True, help="Output path; - is stdout.")
@@ -109,7 +105,7 @@ def table(kind, family, alpha, beta, grid_spec, qgrid_spec, out) -> None:
         cdf = law.cdf(xs)
         nl = law.neg_log_cdf(xs)
     except ValueError as exc:
-        raise _usage(exc)
+        raise click.UsageError(str(exc))
     _write_csv(out, "x,cdf,neg_log_cdf", xs, cdf, nl)
 
 
@@ -135,7 +131,7 @@ def sample(kind, family, alpha, beta, n, route, seed, stream, out) -> None:
         else:
             draws = law.sample_latent(rng, n)
     except ValueError as exc:
-        raise _usage(exc)
+        raise click.UsageError(str(exc))
     _write_csv(out, "value", draws)
 
 
@@ -173,7 +169,7 @@ def ep(base_kind, family, alpha, beta, path_mode, times, sub_kind, sub_beta, t_v
         sub = SubordinatorSpec(sub_kind, sub_beta)
         draws = compound_simulate(spec, sub, t_value, rng, n)
     except ValueError as exc:
-        raise _usage(exc)
+        raise click.UsageError(str(exc))
     _write_csv(out, "value", draws)
 
 
@@ -221,7 +217,7 @@ def ar1(ctx, p, beta, family, alpha, steps, innovation_beta, check_mode, seed, s
             return
         chain = ar1_simulate(spec, steps, rng, innovation_beta=innovation_beta)
     except ValueError as exc:
-        raise _usage(exc)
+        raise click.UsageError(str(exc))
     _write_csv(out, "step,value", np.arange(chain.size, dtype=float), chain)
 
 
@@ -239,7 +235,7 @@ def verify_cmd(ctx, checks, seed, out) -> None:
     try:
         RandomSource(seed)  # every check draws from a source under this seed
     except ValueError as exc:
-        raise _usage(exc)
+        raise click.UsageError(str(exc))
     wanted = list(checks) or ["all"]
     if wanted == ["all"]:
         selected = list(CHECK_IDS)

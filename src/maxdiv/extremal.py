@@ -168,10 +168,7 @@ def subordinator_marginal(sub: SubordinatorSpec, t: float, rng: np.random.Genera
     """
     t = _check_time(t, sub)
     n = positive_integer(1 if size is None else size, "size")
-    if sub.kind is SubKind.GAMMA:
-        out = np.atleast_1d(rng.standard_gamma(t, n))
-    else:
-        out = np.atleast_1d(sample_ggamma(sub.beta, rng, n))
+    out = rng.standard_gamma(t, n) if sub.kind is SubKind.GAMMA else sample_ggamma(sub.beta, rng, n)
     return float(out[0]) if size is None else out
 
 

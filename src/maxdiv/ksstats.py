@@ -20,19 +20,12 @@ __all__ = [
     "cdf_validity_gap",
 ]
 
-# classical asymptotic coefficients c(alpha): critical value is
-# c/sqrt(n) one-sample and c*sqrt((n+m)/(n*m)) two-sample
-KS_COEFFICIENTS = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
+# the classical asymptotic coefficient c at the 1% level, the only level
+# tested: critical value c/sqrt(n) one-sample, c*sqrt((n+m)/(n*m)) two-sample
+KS_COEFFICIENTS = {0.01: 1.628}
 
 # points per block of the one-sample statistic: 64 KB of float64
 _KS_BLOCK = 2**13
-
-
-def _coefficient(alpha: float) -> float:
-    try:
-        return KS_COEFFICIENTS[alpha]
-    except KeyError:
-        raise ValueError(f"no critical coefficient for alpha={alpha}; choose from {sorted(KS_COEFFICIENTS)}")
 
 
 @dataclass(frozen=True)
@@ -41,19 +34,18 @@ class KSReport:
     n: int
     m: int | None
     critical_value: float
-    alpha_level: float
     passed: bool
 
 
-def critical_one_sample(n: int, alpha: float = 0.01) -> float:
+def critical_one_sample(n: int) -> float:
     positive_integer(n, "n")
-    return float(_coefficient(alpha) / np.sqrt(n))
+    return float(KS_COEFFICIENTS[0.01] / np.sqrt(n))
 
 
-def critical_two_sample(n: int, m: int, alpha: float = 0.01) -> float:
+def critical_two_sample(n: int, m: int) -> float:
     positive_integer(n, "n")
     positive_integer(m, "m")
-    return float(_coefficient(alpha) * np.sqrt((n + m) / (n * m)))
+    return float(KS_COEFFICIENTS[0.01] * np.sqrt((n + m) / (n * m)))
 
 
 def _sorted_sample(samples) -> np.ndarray:
@@ -68,7 +60,7 @@ def _sorted_sample(samples) -> np.ndarray:
     return np.sort(x)
 
 
-def ks_one_sample(samples, cdf, alpha: float = 0.01) -> KSReport:
+def ks_one_sample(samples, cdf) -> KSReport:
     """Sup distance between the empirical d.f. and a target d.f.
 
     cdf may be a MaxLaw or any vectorized d.f. callable.  The statistic
@@ -81,8 +73,8 @@ def ks_one_sample(samples, cdf, alpha: float = 0.01) -> KSReport:
     # the sorted copy is ours: a MaxLaw's d.f. overwrites it in place
     f = _cdf_raw(cdf, xs) if isinstance(cdf, MaxLaw) else np.asarray(cdf(xs), dtype=float)
     stat = _ks_distance(f)
-    crit = critical_one_sample(n, alpha)
-    return KSReport(stat, n, None, crit, alpha, stat < crit)
+    crit = critical_one_sample(n)
+    return KSReport(stat, n, None, crit, stat < crit)
 
 
 def _ks_distance(f: np.ndarray) -> float:
@@ -107,7 +99,7 @@ def _ks_distance(f: np.ndarray) -> float:
     return float(np.max(maxima))
 
 
-def ks_two_sample(a, b, alpha: float = 0.01) -> KSReport:
+def ks_two_sample(a, b) -> KSReport:
     """Sup distance between two empirical d.f.s over the pooled points."""
     a, b = _sorted_sample(a), _sorted_sample(b)
     n, m = a.size, b.size
@@ -117,8 +109,8 @@ def ks_two_sample(a, b, alpha: float = 0.01) -> KSReport:
     fa = np.searchsorted(a, pooled, side="right") / n
     fb = np.searchsorted(b, pooled, side="right") / m
     stat = float(np.max(np.abs(fa - fb)))
-    crit = critical_two_sample(n, m, alpha)
-    return KSReport(stat, n, m, crit, alpha, stat < crit)
+    crit = critical_two_sample(n, m)
+    return KSReport(stat, n, m, crit, stat < crit)
 
 
 def sup_norm_grid(f, g, grid) -> float:
@@ -127,14 +119,12 @@ def sup_norm_grid(f, g, grid) -> float:
     return float(np.max(np.abs(np.asarray(f(grid)) - np.asarray(g(grid)))))
 
 
-def quantile_grid(law: MaxLaw, lo: float = 0.001, hi: float = 0.999, count: int = 1000) -> np.ndarray:
-    """Grid of law quantiles at count equally spaced u in [lo, hi]."""
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"need 0 < lo < hi < 1, got {lo}, {hi}")
+def quantile_grid(law: MaxLaw, count: int = 1000) -> np.ndarray:
+    """Grid of law quantiles at count equally spaced u in [0.001, 0.999]."""
     count = positive_integer(count, "count")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
-    return law.quantile(np.linspace(lo, hi, count))
+    return law.quantile(np.linspace(0.001, 0.999, count))
 
 
 def cdf_validity_gap(cdf, grid, bottom: float, top: float) -> float:

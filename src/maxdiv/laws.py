@@ -145,9 +145,6 @@ class MaxLaw:
         us, scalar = _as_array(u)
         return _unwrap(_quantile_w(self, -np.log(open_unit(us))), scalar)
 
-    def support(self):
-        return self.exponent.support()
-
     # samplers take an explicit numpy Generator so that identical
     # (seed, stream) sources reproduce identical output
 
@@ -208,12 +205,6 @@ def _neg_log(u):
     return np.negative(np.log(u, out=u), out=u)
 
 
-def _neg_log_uniform(rng: np.random.Generator, n):
-    """-log(U) for open-interval uniforms U, in the buffer the uniforms
-    were drawn into (one numpy scalar when n is None)."""
-    return _neg_log(uniform_open(rng, n))
-
-
 def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
     """n draws (one scalar when n is None) of the maximum of k i.i.d.
     draws from law, i.e. of F**k; k = None stands for k = 1.
@@ -222,7 +213,7 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
     the call; a k that underflowed to 0.0 yields the support bottom,
     which _quantile_w moves to the smallest point inside it.
     """
-    return _quantile_w(law, _neg_log_uniform(rng, n), k)
+    return _quantile_w(law, _neg_log(uniform_open(rng, n)), k)
 
 
 def _nudge_off_bottom(exponent: Exponent, x):
@@ -302,7 +293,8 @@ def law_from_dict(obj: dict) -> MaxLaw:
     try:
         kind = LawKind(obj["kind"])
         family = Family(obj["family"])
-    except (KeyError, ValueError) as exc:
+        alpha = float(obj.get("alpha", 1.0))
+        beta = float(obj.get("beta", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a valid law descriptor: {obj!r}") from exc
-    exponent = Exponent(family, float(obj.get("alpha", 1.0)))
-    return MaxLaw(kind, exponent, float(obj.get("beta", 1.0)))
+    return MaxLaw(kind, Exponent(family, alpha), beta)

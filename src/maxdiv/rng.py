@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import positive_integer
+
 __all__ = ["RandomSource", "uniform_open"]
 
 
@@ -62,6 +64,8 @@ def uniform_open(rng: np.random.Generator, size: int | None = None):
         while u == 0.0:
             u = rng.random()
         return u
+    if not isinstance(size, tuple):
+        size = positive_integer(size, "size")
     u = rng.random(size)
     zero = u == 0.0
     while np.any(zero):

@@ -208,9 +208,11 @@ def _mc_lattice(source, cells) -> list[KSReport]:
     for i, (draw, beta) in enumerate(cells):
         # draws stays bound until the next cell has drawn: freed first, it
         # leaves enough free memory at the top of the heap for the allocator
-        # to return it to the system, and the next cell faults it back in
-        # (glibc defaults: T3_1 ~1,200, T3_2 ~1,200 and T3_3 ~5,800 minor
-        # faults per call, against ~580, 0 and ~550 with the binding)
+        # to return it to the system, and the next cell faults it back in.
+        # _ks_distance's blocks guard the same faults and the two add up:
+        # verify_all(42) takes ~2,100 minor faults with both, ~8,100 with
+        # either removed and ~14,500 with neither (median 128, ~138 and
+        # 150 ms; glibc defaults, one CPU of a 2-vCPU host): keep both.
         draws = draw(source.substream(i).generator(), MC_SIZE)
         reports.append(_mc_cell(draws, beta))
     return reports

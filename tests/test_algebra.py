@@ -157,11 +157,11 @@ def test_n_max_cdf_is_the_nth_power():
 
 
 def test_n_max_cdf_accepts_expressions_and_validates_n():
-    # a law, its expression and a bare neg_log_cdf channel give the same bits
+    # a law, its expression and a bare CdfExpr of its two channels give the same bits
     law = g_mid(E1)
     expr = expr_from_law(law)
     x = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 4.0, np.inf, np.nan])
-    for h in (expr, CdfExpr(tag="bare", neg_log_cdf=law.neg_log_cdf)):
+    for h in (expr, CdfExpr(neg_log_cdf=law.neg_log_cdf, cdf=law.cdf)):
         assert n_max_cdf(h, 3, x).tobytes() == n_max_cdf(law, 3, x).tobytes()
         assert n_max_cdf(h, 3, 1.0) == n_max_cdf(law, 3, 1.0)
     assert n_max_cdf(expr, 2, 1.0) == pytest.approx(0.25, rel=0, abs=1e-15)
@@ -288,6 +288,7 @@ def test_expr_from_law_keeps_rational_structure_only_for_gmid():
     assert expr_from_law(gamma_mid(2.0, E1)).gmid_scale is None
 
 
-def test_cdf_expr_call_and_neg_log_fallback():
-    expr = CdfExpr(tag="unit", neg_log_cdf=lambda x: np.asarray(x, dtype=float) * 0.0 + 1.0)
-    assert expr(123.0) == pytest.approx(np.exp(-1.0), rel=0, abs=0)
+def test_cdf_expr_call_is_its_cdf():
+    # the two channels disagree on purpose, so the value shows which one a call reads
+    expr = CdfExpr(neg_log_cdf=lambda x: np.ones(np.shape(x)), cdf=lambda x: np.full(np.shape(x), 0.25))
+    assert expr(123.0) == 0.25

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxdiv import (
+    KS_COEFFICIENTS,
     RandomSource,
     cdf_validity_gap,
     critical_one_sample,
@@ -21,23 +22,18 @@ E1 = frechet(1.0)
 
 
 def test_critical_band_constants():
-    # one-sample: c(alpha)/sqrt(n) with c = 1.224, 1.358, 1.628
-    assert critical_one_sample(100, alpha=0.10) == pytest.approx(0.1224, rel=0, abs=1e-15)
-    assert critical_one_sample(100, alpha=0.05) == pytest.approx(0.1358, rel=0, abs=1e-15)
-    assert critical_one_sample(100, alpha=0.01) == pytest.approx(0.1628, rel=0, abs=1e-15)
+    # one-sample: c/sqrt(n) with the 1% coefficient c = 1.628
+    assert KS_COEFFICIENTS == {0.01: 1.628}
+    assert critical_one_sample(100) == pytest.approx(0.1628, rel=0, abs=1e-15)
     assert critical_one_sample(100_000) == pytest.approx(0.0051481880307541216, rel=0, abs=1e-15)
-    # two-sample: c(alpha) * sqrt((n + m)/(n m))
+    # two-sample: c * sqrt((n + m)/(n m))
     assert critical_two_sample(100_000, 100_000) == pytest.approx(
         0.0072806373347393153, rel=0, abs=1e-15
     )
     assert critical_two_sample(20_000, 20_000) == pytest.approx(0.01628, rel=0, abs=1e-15)
-
-
-def test_unknown_alpha_rejected():
-    with pytest.raises(ValueError):
-        critical_one_sample(100, alpha=0.2)
-    with pytest.raises(ValueError):
-        critical_two_sample(100, 100, alpha=0.001)
+    # unequal sizes: 1.628 * sqrt(500/40000)
+    assert critical_two_sample(100, 400) == pytest.approx(0.18201593336848287, rel=0, abs=1e-15)
+    assert critical_two_sample(400, 100) == critical_two_sample(100, 400)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, np.inf, np.nan])
@@ -147,7 +143,6 @@ def test_report_pass_flag_matches_band():
     draws = g_mid(E1).sample_inverse(rng, 2000)
     report = ks_one_sample(draws, g_mid(E1))
     assert report.passed == (report.statistic < report.critical_value)
-    assert report.alpha_level == 0.01
     assert report.critical_value == pytest.approx(1.628 / np.sqrt(2000), rel=0, abs=1e-15)
 
 
@@ -166,10 +161,7 @@ def test_quantile_grid_properties():
     f = law.cdf(grid)
     assert abs(f[0] - 0.001) < 1e-9
     assert abs(f[-1] - 0.999) < 1e-9
-    custom = quantile_grid(law, lo=0.25, hi=0.75, count=5)
-    assert custom.shape == (5,)
-    with pytest.raises(ValueError):
-        quantile_grid(law, lo=0.5, hi=0.4)
+    assert quantile_grid(law, count=5).shape == (5,)
     with pytest.raises(ValueError):
         quantile_grid(law, count=1)
 

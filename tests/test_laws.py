@@ -352,3 +352,28 @@ def test_law_dict_round_trip():
 def test_law_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         law_from_dict({"kind": "cauchy", "family": "frechet", "alpha": 1.0, "beta": 1.0})
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "g-mid", "family": "frechet", "alpha": None},
+        {"kind": "gamma-mid", "family": "frechet", "beta": None},
+        {"kind": "gamma-mid", "family": "frechet", "beta": "x"},
+        {"kind": "g-mid", "family": "frechet", "alpha": [1.0]},
+        {"family": "frechet"},
+        ["g-mid", "frechet"],
+        None,
+        "g-mid",
+    ],
+)
+def test_law_from_dict_rejects_a_malformed_descriptor(desc):
+    with pytest.raises(ValueError, match="not a valid law descriptor"):
+        law_from_dict(desc)
+
+
+def test_law_from_dict_keeps_the_range_errors_of_the_law():
+    with pytest.raises(ValueError, match="alpha must be a finite positive number"):
+        law_from_dict({"kind": "g-mid", "family": "frechet", "alpha": -1})
+    with pytest.raises(ValueError, match="beta must be a finite positive number"):
+        law_from_dict({"kind": "gamma-mid", "family": "frechet", "beta": 0.0})

@@ -74,3 +74,12 @@ def test_uniform_open_scalar_form():
     u = uniform_open(rng)
     assert isinstance(u, float)
     assert 0.0 < u < 1.0
+
+
+def test_uniform_open_takes_a_whole_number_size():
+    # the sample-size rule: 3.0 draws what 3 draws, the rest raise ValueError
+    whole = uniform_open(RandomSource(0, 0).generator(), 3)
+    assert uniform_open(RandomSource(0, 0).generator(), 3.0).tobytes() == whole.tobytes()
+    for bad in (0, -1, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="size"):
+            uniform_open(RandomSource(0, 0).generator(), bad)

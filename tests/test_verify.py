@@ -157,8 +157,8 @@ def _spy_ks(monkeypatch, nan_call=None):
     """Record every KS report of the registry; call nan_call reports NaN."""
     real, reports = verify_module.ks_one_sample, []
 
-    def ks_one_sample(samples, cdf, alpha=0.01):
-        report = real(samples, cdf, alpha)
+    def ks_one_sample(samples, cdf):
+        report = real(samples, cdf)
         if len(reports) == nan_call:
             report = dataclasses.replace(report, statistic=math.nan, passed=False)
         reports.append(report)
