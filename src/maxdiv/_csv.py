@@ -1,11 +1,28 @@
 """CSV text for float64 columns, byte-identical to ``"%.17g"``.
 
 ``csv_blocks`` formats the rows of some columns a block at a time with
-numpy, not one value at a time in Python.  A block becomes a uint8 matrix
-with one row per character slot and one column per CSV row: every value
-owns a fixed run of slots, unused slots hold 0, and a ``,`` or ``\\n``
-slot follows each value.  Reading the matrix row-major along the CSV
-rows and dropping the 0 bytes gives the text.
+numpy, not one value at a time in Python.  Every value owns a 32-byte slot
+of four 64-bit words, each read lowest byte first:
+
+- word 0: the sign, the "0.000" prefix of fixed notation below 1, the
+  lead digit;
+- words 1 and 2: the other 16 digits, those past the last shown one
+  blanked, with the point shifted in;
+- word 3: the digit the point pushed out of word 2, the exponent, and
+  the ``,`` or ``\\n`` separator.
+
+Unused bytes hold 0.  A block is a row-major (rows, 4 * columns) word
+matrix, so its bytes in order are the CSV text with 0 bytes in between,
+and ``bytearray.translate`` deletes those in one pass in C, with no mask
+or index array.
+
+A call allocates its buffers once, for its largest block, and every
+block reuses them: each numpy step writes into them with ``out=``, so a
+block allocates only the bytes it yields.  Fresh memory costs a page
+fault per 4 KB page, which in a short CLI process costs as much as the
+arithmetic on it.  BLOCK_ROWS keeps a block's working set (1.3 MB for
+one column, 1.8 MB for three, and 0.35 MB of tables) inside a core's L2
+cache.
 
 The 17 significant digits of a float x are the integer
 D = round(|x| * 10**(16 - k)), k = floor(log10|x|).  The product is formed
@@ -34,23 +51,25 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-BLOCK_ROWS = 65_536
+BLOCK_ROWS = 8_192
 
 # |x| formatted by the digit path: the split |x| * 134217729 and the
 # scaled products stay finite and normal inside these bounds
 _LO, _HI = 1e-280, 1e280
-_E_MIN = -270  # 10**e is tabulated for e = 16 - k in [-270, 300]
+_E_MIN = -270  # the tables cover e = 16 - k in [-270, 300], by index e - _E_MIN
 _E_MAX = 300
-_E_OFF = -330  # exponent text is tabulated for k in [-330, 330]
-_NO_EXPONENT = 1 - 2 * _E_OFF  # the table's empty column, for fixed notation
 _TIE_GAP = 1e-9  # scaled values this close to a half-integer fall back
 
-# slots per value: sign, "0.000" prefix, 17 digits with one point,
-# "e" + sign + 3 exponent digits
-_F_SLOTS = 1 + 5 + 18 + 5
-_ZERO = np.uint8(ord("0"))
-_POINT = np.uint8(ord("."))
-_MINUS = np.uint8(ord("-"))
+# a value's slot: four words, the first byte of each word its lowest
+_WORD = np.dtype("<u8")
+_SLOT = 32
+_SEP = 30  # the separator's byte (byte 6 of word 3); "%" text fills those before it
+_NO_POINT = 16  # the point's place among the 16 digits after the lead: none
+
+
+def _word(text: bytes, at: int = 0) -> int:
+    """The word whose bytes at, at + 1, ... hold text."""
+    return int.from_bytes(text, "little") << 8 * at
 
 
 class _Tables:
@@ -68,26 +87,39 @@ class _Tables:
         self.pow_lo = np.array(lo)
         self.pow_hi_hi, self.pow_hi_lo = _split(self.pow_hi)
 
-        # four ASCII digits of 0..9999, and the trailing-zero count of each
-        g = np.arange(10_000)
-        self.digits4 = np.array([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], dtype=np.uint8) + _ZERO
-        tz = np.zeros(10_000, dtype=np.uint8)
-        for p in (10, 100, 1000):
-            tz += g % p == 0
-        tz[0] = 4
-        self.trailing4 = tz
+        # by k, through the same index: the "0.000" prefix (bytes 1..5 of
+        # word 0) and the exponent (bytes 1..5 of word 3), how many of the 16
+        # digits after the lead come before the point (all shown), and the
+        # place of the point among them (_NO_POINT for none)
+        k = 16 - np.arange(_E_MIN, _E_MAX + 1, dtype=np.int64)
+        exp_form = (k < -4) | (k >= 17)
+        below_one = ~exp_form & (k < 0)
+        self.prefix = np.zeros(k.size, dtype=np.uint64)
+        self.prefix[below_one] = [_word(b"0." + b"0" * (-j - 1), 1) for j in k[below_one].tolist()]
+        self.exponent = np.zeros(k.size, dtype=np.uint64)
+        self.exponent[exp_form] = [_word(b"e%+03d" % j, 1) for j in k[exp_form].tolist()]
+        self.before_point = np.where(exp_form, 0, np.maximum(k, 0))
+        self.point = np.where(below_one, _NO_POINT, self.before_point)
 
-        # "0.", "0.0", "0.00", "0.000" before the digits of 10**-1..10**-4
-        self.prefix = np.zeros((5, 5), dtype=np.uint8)
-        for j in range(1, 5):
-            text = b"0." + b"0" * (j - 1)
-            self.prefix[: len(text), j] = np.frombuffer(text, dtype=np.uint8)
+        # a table per group j = 0..3 of the 16 digits after the lead: the four
+        # ASCII digits of 0..9999 in bytes 0..3 and, from bit 32, how many of
+        # the 16 reach the group's last nonzero digit (0 for 0000)
+        g = np.arange(10_000, dtype=np.int64)
+        digits, last = np.zeros_like(g), np.zeros_like(g)
+        for j, place in enumerate((1000, 100, 10, 1)):
+            digit = g // place % 10
+            digits |= (digit + ord("0")) << 8 * j
+            last[digit != 0] = j + 1  # the last nonzero digit wins
+        self.groups = np.stack([digits | np.where(last > 0, last + 4 * j, 0) << 32 for j in range(4)])
 
-        # "e-330" .. "e-05" .. "e+330" by k - _E_OFF, then an empty column
-        self.exponent = np.zeros((5, _NO_EXPONENT + 1), dtype=np.uint8)
-        for j in range(_NO_EXPONENT):
-            text = b"e%+03d" % (j + _E_OFF)
-            self.exponent[: len(text), j] = np.frombuffer(text, dtype=np.uint8)
+        # the 16 digits after the lead are a 128-bit number split over two
+        # words: masks of its low c bytes and the point as byte c, c = 0..16
+        low = [(1 << 8 * c) - 1 for c in range(17)]
+        dot = [_word(b".", c) for c in range(17)]
+        self.low_a, self.low_b, self.dot_a, self.dot_b = (
+            np.array([v & (2**64 - 1) for v in table], dtype=np.uint64)
+            for table in (low, [v >> 64 for v in low], dot, [v >> 64 for v in dot])
+        )
 
         for table in vars(self).values():
             table.setflags(write=False)
@@ -105,93 +137,161 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, v - hi
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**(16 - k) as whole + frac: whole an int64, |frac| < ~20."""
-    t = _tables()
-    i = 16 - _E_MIN - k
-    ph, ph_hi, ph_lo, pl = (np.take(table, i) for table in (t.pow_hi, t.pow_hi_hi, t.pow_hi_lo, t.pow_lo))
-    a_hi, a_lo = _split(a)
-    p = a * ph
-    err = ((a_hi * ph_hi - p) + a_hi * ph_lo + a_lo * ph_hi) + a_lo * ph_lo
-    whole = np.floor(p)
-    return whole.astype(np.int64), (p - whole) + (err + a * pl)  # to ~1e-14
+class _Scratch:
+    """The buffers of one csv_blocks call, sized for its largest block.
+
+    rows holds 16 eight-byte numbers per value: _digits leaves the table
+    index and D in rows 0 and 1 and uses rows 2..12 on the way (3..12 as
+    float64), then _float_text reuses every row but 0 as int64 or uint64.
+    text holds the block's slots, in a bytearray that translate reads
+    directly.
+    """
+
+    def __init__(self, rows: int, columns: int) -> None:
+        self.rows = np.empty((16, rows), dtype=np.int64)
+        self.flags = np.empty((2, rows), dtype=bool)
+        self.buffer = bytearray(rows * columns * _SLOT)
+        self.text = np.frombuffer(self.buffer, dtype=_WORD).reshape(rows, columns * _SLOT // 8)
 
 
-def _float_text(x: np.ndarray, out: np.ndarray) -> None:
-    """Fill the (_F_SLOTS, n) slots out with the "%.17g" text of x."""
+def _digits(x: np.ndarray, s: _Scratch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table index i = 16 - k - _E_MIN and the 17 digits D = round(|x| *
+    10**(16 - k)) of x as int64, in rows 0 and 1 of s, and a flag per value
+    that is False where "%" must print it (D is then 10**16)."""
     t = _tables()
-    a = np.abs(x)
-    fast = (a > _LO) & (a < _HI)
-    a = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)
-    whole, frac = _scaled(a, k)
-    up = np.floor(frac + 0.5)
-    d = whole + up.astype(np.int64)
+    n = x.size
+    i, d, up = s.rows[:3, :n]
+    a, ph, ph_hi, ph_lo, pl, a_hi, a_lo, p, err, tmp = s.rows[3:13, :n].view(np.float64)
+    fast, flag = s.flags[:, :n]
+
+    np.abs(x, out=a)
+    np.greater(a, _LO, out=fast)
+    fast &= np.less(a, _HI, out=flag)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=flag))
+    k = np.floor(np.log10(a, out=tmp), out=tmp)
+    np.subtract(16 - _E_MIN, k, out=i, casting="unsafe")  # k is integral
+
+    # a * 10**(16 - k) in double-double, to ~1e-14: an exact product of the
+    # Veltkamp halves of a and of the table's leading part, plus a times its tail
+    for table, out in ((t.pow_hi, ph), (t.pow_hi_hi, ph_hi), (t.pow_hi_lo, ph_lo), (t.pow_lo, pl)):
+        np.take(table, i, out=out, mode="clip")  # not "raise", which buffers out
+    np.multiply(a, 134217729.0, out=a_lo)
+    np.subtract(a_lo, np.subtract(a_lo, a, out=a_hi), out=a_hi)
+    np.subtract(a, a_hi, out=a_lo)
+    np.multiply(a, ph, out=p)
+    np.multiply(a_hi, ph_hi, out=err)
+    err -= p
+    err += np.multiply(a_hi, ph_lo, out=tmp)
+    err += np.multiply(a_lo, ph_hi, out=tmp)
+    err += np.multiply(a_lo, ph_lo, out=tmp)
+    err += np.multiply(a, pl, out=tmp)
+    whole = np.floor(p, out=ph)
+    frac = np.subtract(p, whole, out=p)  # whole + frac, |frac| < ~20
+    frac += err
+
+    up_f = np.floor(np.add(frac, 0.5, out=ph_hi), out=ph_hi)
+    np.copyto(d, whole, casting="unsafe")
+    np.copyto(up, up_f, casting="unsafe")
+    d += up
     # the low end is tested on the unrounded product: with k one too high, a
     # product just below 10**16 can round up to it; a product at or above
     # 10**17 rounds to a D at or above it
-    fast &= (frac >= 10**16 - whole) & (d < 10**17) & (np.abs(frac - up) < 0.5 - _TIE_GAP)
-    d[~fast] = 10**16
-
-    # the 17 digits: a leading one, then four groups of four
-    high = d // 100_000_000
-    low = (d - high * 100_000_000).astype(np.int32)
-    lead = high // 100_000_000
-    high = (high - lead * 100_000_000).astype(np.int32)
-    g0 = high // 10_000
-    g2 = low // 10_000
-    groups = (g0, high - g0 * 10_000, g2, low - g2 * 10_000)
-    digits = np.empty((18, x.size), dtype=np.uint8)
-    digits[0] = lead
-    digits[0] += _ZERO
-    for j, g in enumerate(groups):
-        np.take(t.digits4, g, axis=1, out=digits[1 + 4 * j : 5 + 4 * j])
-    digits[17] = 0
-
-    # significant digits once trailing zeros go (the lead digit is never 0)
-    tz = [np.take(t.trailing4, g) for g in groups]
-    zeros = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
-    m = 17 - zeros.astype(np.int64)
-
-    # body: the digits shown, with a point after the integer digits if any
-    # fraction digits are left; fixed notation below 1 has its "0.000" in
-    # the prefix and no point in the body
-    exp_form = (k < -4) | (k >= 17)
-    int_digits = np.where(exp_form, 1, np.maximum(k + 1, 0))
-    shown = np.maximum(m, int_digits)
-    point = np.where((shown > int_digits) & (int_digits > 0), int_digits, 18).astype(np.uint8)
-    j = np.arange(18, dtype=np.uint8)[:, None]
-    digits *= (j < shown.astype(np.uint8)).view(np.uint8)  # 0 past the last shown digit
-    body = out[6:24]
-    body[0] = digits[0]  # the point, if any, comes after one digit at least
-    # row j keeps digit j before the point and takes digit j - 1 after it
-    np.subtract(digits[1:], digits[:-1], out=body[1:])
-    body[1:] *= (j[1:] < point).view(np.uint8)
-    body[1:] += digits[:-1]
-    cols = np.flatnonzero(point < 18)
-    body[point[cols], cols] = _POINT
-
-    out[0] = np.signbit(x).view(np.uint8) * _MINUS
-    np.take(t.prefix, np.where(exp_form | (k >= 0), 0, -k), axis=1, out=out[1:6])
-    np.take(t.exponent, np.where(exp_form, k - _E_OFF, _NO_EXPONENT), axis=1, out=out[24:29])
-
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        _fallback(out, slow, x[slow])
+    fast &= np.greater_equal(frac, np.subtract(1e16, whole, out=tmp), out=flag)
+    fast &= np.less(d, 10**17, out=flag)
+    fast &= np.less(np.abs(np.subtract(frac, up_f, out=tmp), out=tmp), 0.5 - _TIE_GAP, out=flag)
+    np.copyto(d, 10**16, where=np.logical_not(fast, out=flag))
+    return i, d, fast
 
 
-def _fallback(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """Write Python's "%.17g" of values into the given columns of out."""
+def _float_text(x: np.ndarray, words: np.ndarray, sep: bytes, s: _Scratch) -> None:
+    """Fill the (n, 4) words with the "%.17g" text of x, each followed by sep."""
+    t = _tables()
+    n = x.size
+    i, d, fast = _digits(x, s)
+    flag = s.flags[1, :n]
+    rows = s.rows[:, :n]
+    lead, rest, high, low, g0, g1, g2, g3 = rows[2:10]
+    u = rows.view(np.uint64)  # the same rows as bit patterns
+
+    # D = lead, then four groups of four digits
+    np.floor_divide(d, 10**16, out=lead)
+    np.subtract(d, np.multiply(lead, 10**16, out=rest), out=rest)
+    np.floor_divide(rest, 10**8, out=high)
+    np.subtract(rest, np.multiply(high, 10**8, out=low), out=low)
+    for whole, first, second in ((high, g0, g1), (low, g2, g3)):
+        np.floor_divide(whole, 10**4, out=first)
+        np.subtract(whole, np.multiply(first, 10**4, out=second), out=second)
+
+    # word 0: sign, "0.000" prefix, lead digit
+    head = np.take(t.prefix, i, out=u[3], mode="clip")
+    lead += ord("0")
+    lead <<= 48
+    head |= lead.view(np.uint64)
+    sign = np.right_shift(x.view(np.uint64), 63, out=u[2])
+    sign *= ord("-")
+    np.bitwise_or(head, sign, out=words[:, 0])
+
+    # the 16 digits after the lead as one 128-bit number of ASCII bytes,
+    # digits 1-8 in a and 9-16 in b, and how many of them are shown: up to
+    # the last nonzero one, and at least those before the point
+    groups = rows[10:14]
+    for table, g, group in zip(t.groups, (g0, g1, g2, g3), groups):
+        np.take(table, g, out=group, mode="clip")
+    a, b = u[14], u[15]
+    for word, (first, second) in ((a, u[10:12]), (b, u[12:14])):
+        np.bitwise_and(first, 0xFFFF_FFFF, out=word)
+        word |= np.left_shift(second, 32, out=u[1])
+    shown, last = g0, g1
+    np.take(t.before_point, i, out=shown, mode="clip")
+    for group in groups:
+        np.maximum(shown, np.right_shift(group, 32, out=last), out=shown)
+
+    # bytes [point, shown) move up one byte, and the point goes in the gap;
+    # a point at or past the shown digits is masked off with them
+    point = np.take(t.point, i, out=g2, mode="clip")
+    fixed = np.minimum(point, shown, out=g3)
+    moved_a, moved_b, kept_a, kept_b = u[10:14]
+    np.take(t.low_a, shown, out=moved_a, mode="clip")
+    np.take(t.low_b, shown, out=moved_b, mode="clip")
+    np.take(t.low_a, fixed, out=kept_a, mode="clip")
+    np.take(t.low_b, fixed, out=kept_b, mode="clip")
+    dot_a = np.take(t.dot_a, point, out=u[4], mode="clip")
+    dot_b = np.take(t.dot_b, point, out=u[5], mode="clip")
+    dot_a &= moved_a
+    dot_b &= moved_b
+    moved_a ^= kept_a
+    moved_b ^= kept_b
+    for mask, word in ((moved_a, a), (kept_a, a), (moved_b, b), (kept_b, b)):
+        mask &= word
+    kept_a |= dot_a
+    kept_b |= dot_b
+    np.bitwise_or(kept_a, np.left_shift(moved_a, 8, out=u[3]), out=words[:, 1])
+    kept_b |= np.left_shift(moved_b, 8, out=u[3])
+    np.bitwise_or(kept_b, np.right_shift(moved_a, 56, out=u[3]), out=words[:, 2])
+
+    # word 3: the digit pushed out of b, the exponent, the separator
+    tail = np.take(t.exponent, i, out=u[3], mode="clip")
+    tail |= np.right_shift(moved_b, 56, out=moved_b)
+    np.bitwise_or(tail, _word(sep, _SEP - 24), out=words[:, 3])
+
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
+        _fallback(words.view(np.uint8), slow, x[slow])
+
+
+def _fallback(slots: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Write Python's "%.17g" of values over the bytes before the separator of their slots."""
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = np.zeros((out.shape[0], bits.size), dtype=np.uint8)
+    texts = np.zeros((bits.size, _SEP), dtype=np.uint8)
     for j, v in enumerate(bits.view(np.float64).tolist()):
         text = b"%.17g" % v
-        texts[: len(text), j] = np.frombuffer(text, dtype=np.uint8)
-    out[:, rows] = texts[:, inverse.reshape(-1)]
+        texts[j, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    slots[rows, :_SEP] = texts[inverse.reshape(-1)]
 
 
-def csv_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """Yield the CSV lines of float64 columns, BLOCK_ROWS rows at a time.
+def csv_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
+    """Yield the CSV lines of float64 columns, BLOCK_ROWS rows at a time,
+    each block a new bytearray.
 
     Each line ends in "\\n".  The bytes equal those of the %-format of
     every row, a line ``",".join("%.17g" % v for each column) + "\\n"`` at
@@ -201,20 +301,15 @@ def csv_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     for c in columns:
         if c.dtype != np.float64:
             raise TypeError(f"csv_blocks formats float64 columns, got {c.dtype}")
-    width = _F_SLOTS + 1  # a value and its separator
-    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
     size = columns[0].size
-    # the pad: rows exactly 65,536 bytes apart share cache sets, and the
-    # transpose below would evict its own source rows
-    height, rows = width * len(columns), min(BLOCK_ROWS, size)
-    text = np.empty((height, rows + 64), dtype=np.uint8)
-    lines = np.empty((rows, height), dtype=np.uint8)
+    if not size:
+        return
+    s = _Scratch(min(BLOCK_ROWS, size), len(columns))
     for start in range(0, size, BLOCK_ROWS):
         n = min(BLOCK_ROWS, size - start)
-        for row, c, sep in zip(range(0, height, width), columns, seps):
-            _float_text(c[start : start + n], text[row : row + _F_SLOTS, :n])
-            text[row + _F_SLOTS, :n] = sep
-        flat = lines[:n]
-        flat[...] = text[:, :n].T
-        flat = flat.reshape(-1)
-        yield np.compress(flat != 0, flat).tobytes()
+        text = s.text[:n]
+        for j, (c, sep) in enumerate(zip(columns, seps)):
+            _float_text(c[start : start + n], text[:, 4 * j : 4 * j + 4], sep, s)
+        s.text[n:] = 0  # a short last block: the rest of the buffer prints nothing
+        yield s.buffer.translate(None, b"\0")

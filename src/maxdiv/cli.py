@@ -7,9 +7,12 @@ chains and a stationarity check), verify (the numerical check registry).
 All numeric output is written with 17 significant digits so files round
 trip losslessly; a run with identical flags and seed is byte-identical.
 CSV columns are float64 and carry exactly the bytes of "%.17g", built
-with numpy a block of 65,536 rows at a time and written in binary mode,
-so every line ends in "\\n" on every platform.  The step index of
-ar1 is an integral float below 2**53, so it prints as its "%d" digits.
+with numpy a block of 8,192 rows at a time and written in binary mode,
+so every line ends in "\\n" on every platform.  A command allocates the
+formatter's buffers once and every block reuses them, so a block
+touches no fresh memory (a page fault per 4 KB page) but its output,
+and its working set stays in a core's L2 cache.  The step index of ar1
+is an integral float below 2**53, so it prints as its "%d" digits.
 Exit codes: 0 success, 1 a verification check failed, 2 usage error.
 
 Only click is imported here: each command imports the layers it runs

@@ -53,18 +53,21 @@ def _index(value) -> int:
     return index
 
 
-def uniform_open(rng: np.random.Generator, size: int | None = None):
+def uniform_open(rng: np.random.Generator, size: int | tuple[int, ...] | None = None):
     """Uniform draws restricted to the open interval (0, 1).
 
     numpy's random() covers [0, 1); exact zeros are redrawn because the
-    quantile transforms used downstream are undefined at u = 0.
+    quantile transforms used downstream are undefined at u = 0.  A size,
+    and every entry of a shape, is a whole number >= 1.
     """
     if size is None:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
         return u
-    if not isinstance(size, tuple):
+    if isinstance(size, tuple):
+        size = tuple(positive_integer(m, "size") for m in size)
+    else:
         size = positive_integer(size, "size")
     u = rng.random(size)
     zero = u == 0.0

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import maxdiv
 from maxdiv import Exponent, Family, LawKind, MaxLaw, RandomSource
+from maxdiv._csv import BLOCK_ROWS
 from maxdiv.cli import main
 
 
@@ -237,7 +238,7 @@ def csv_text(header, *columns):
     return (header + "\n" + "".join(",".join(f % v for f, v in zip(formats, row)) + "\n" for row in rows)).encode()
 
 
-@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_sample_bytes_across_block_boundaries(runner, tmp_path, n):
     law = MaxLaw("ggamma-mid", Exponent("weibull", 1.5), 0.7)
     draws = law.sample_inverse(RandomSource(3).generator(), n)

@@ -1,6 +1,7 @@
 """CSV formatting: the numpy block formatter against per-value %-formatting."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -79,7 +80,7 @@ def test_a_log10_one_ulp_off_still_prints_exactly(monkeypatch, direction):
     # another libm may round log10 the other way near powers of ten; a k
     # one off must fall back to "%", never print a wrong digit
     log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+    monkeypatch.setattr(np, "log10", lambda a, out=None: np.nextafter(log10(a), direction, out=out))
     powers = np.array([float(f"1e{e}") for e in range(-279, 280)])
     x = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), decade_round_ups()[0]])
     assert_same_text(x, -x)
@@ -145,7 +146,9 @@ def test_integral_floats_print_their_integer_digits():
     assert formatted(steps, steps) == "".join("%d,%d\n" % (i, i) for i in range(200_000)).encode()
 
 
-@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+# one short of, at and one past a block boundary, eight or sixteen blocks
+# in, so that each size also runs the reused buffers through many blocks
+@pytest.mark.parametrize("n", [8 * BLOCK_ROWS - 1, 8 * BLOCK_ROWS, 8 * BLOCK_ROWS + 1, 16 * BLOCK_ROWS + 1])
 def test_block_boundaries(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
@@ -154,6 +157,43 @@ def test_block_boundaries(n):
     assert len(blocks) == -(-n // BLOCK_ROWS)
     assert all(b.count(b"\n") == BLOCK_ROWS for b in blocks[:-1])
     assert b"".join(blocks) == oracle(steps, x)
+
+
+# the longest texts: through the digit path, through "%" (below 1e-280) and in fixed notation
+LONGEST = [-1.2345678901234567e-200, -1.2345678901234567e-300, -0.00012345678901234567]
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("long_first", [True, False])
+def test_blocks_after_a_block_of_other_lengths_keep_none_of_its_bytes(columns, long_first):
+    # every block of a call reuses the buffers of the block before it: a
+    # block of the shortest texts after one of the longest, a short last
+    # block included, must keep none of the longer texts' bytes, and the reverse
+    long, short = np.resize(LONGEST, BLOCK_ROWS + 3), np.resize([0.0, 1.0], BLOCK_ROWS + 3)
+    first, second = (long, short) if long_first else (short, long)
+    x = np.concatenate([first[:BLOCK_ROWS], second])
+    assert len(list(csv_blocks([x]))) == 3
+    assert_same_text(*[x, -x, x[::-1]][:columns])
+
+
+def test_memory_stays_within_a_bound_set_by_the_block_size():
+    # per row of one block, a call holds 16 eight-byte numbers and 2 flags,
+    # 32 bytes of text per column, and at most two yielded blocks as long
+    # (translate's result before it shrinks, and the block the caller still
+    # holds); 1 MiB more covers numpy's cast buffers and the "%" path.  The
+    # bound does not grow with the row count.
+    rng = np.random.default_rng(9)
+    formatted(np.array([1.5]))  # builds the lookup tables
+    for rows, columns in ((10**6, 1), (2 * 10**5, 3)):
+        cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(columns)]
+        tracemalloc.start()
+        try:
+            for block in csv_blocks(cols):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_ROWS * (16 * 8 + 2 + 3 * 32 * columns) + 2**20
 
 
 def test_three_float_columns_and_an_empty_input():

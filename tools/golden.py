@@ -12,7 +12,7 @@ that no CLI command prints.  A run that exits non-zero is marked
 
 The optional argument is the root of the checkout whose src/ is run
 (default: the checkout holding this script).  The matrix takes about
-fifteen seconds.
+sixteen seconds.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ MATRIX = (
     # p = 0.001 the segments are long, so the running max takes many passes
     "ar1 --p 0.001 --beta 2 --steps 5000 --seed 5",
     "ar1 --p 0.9 --family weibull --alpha 1.7 --steps 5000 --seed 5",
+    # CSV that spans many formatter blocks with more than one column: 150,000
+    # two-column rows and 70,000 three-column rows
+    "ar1 --p 0.3 --beta 2 --alpha 1.7 --steps 150000 --seed 5",
+    "table --kind ggamma-mid --alpha 1.7 --beta 0.5 --qgrid 0.001:0.999:70000",
     # the Monte Carlo checks on the canonical seeds: verdicts, and each check's
     # worst KS statistic to the bit in --out (the cells' to five decimals)
     *(f"verify T3_1 T3_2 T3_3 --seed {seed} --out {OUT}" for seed in range(10)),
