@@ -18,7 +18,8 @@ that level.  In w = -log(u) space the level becomes
 
 the last form free of cancellation for small w and small p.  One
 uniform per draw then gives an exact geometric(p)-max for every p,
-and p = 1 leaves w unchanged.
+and p = 1 leaves w unchanged.  The g-mid and base forms in these
+operators are those of their records in laws._KINDS.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
 from .exponents import Exponent, Family, _as_array, _unwrap
-from .laws import _KINDS, MaxLaw, _neg_log, _quantile_w
+from .laws import _KINDS, LawKind, MaxLaw, _apply, _neg_log, _quantile_w
 from .rng import uniform_open
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "n_max_cdf",
     "limit_geo_gamma_cdf",
 ]
+
+_GMID = _KINDS[LawKind.GMID]
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,8 @@ def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = 
     n = positive_integer(1 if size is None else size, "size")
     w = _neg_log(uniform_open(rng, n))
     if p < 1.0:
-        np.log1p(np.multiply(p, np.expm1(w, out=w), out=w), out=w)
+        # -log H = log1p(p * expm1(w)), in the buffer of w
+        _GMID.neg_log(np.multiply(p, _GMID.s_of_w(w, 1.0, w), out=w), 1.0)
     out = _quantile_w(law, w)
     return float(out[0]) if size is None else out
 
@@ -117,16 +121,9 @@ def scale_exponent(h: CdfExpr, a: float) -> CdfExpr:
     positive_finite(a, "scale factor")
     scale = a * h.gmid_scale
     exponent = h.exponent
-
-    def neg_log_cdf(x):
-        return np.log1p(scale * exponent.eval(x))
-
-    def cdf(x):
-        return 1.0 / (1.0 + scale * exponent.eval(x))
-
     return CdfExpr(
-        neg_log_cdf=neg_log_cdf,
-        cdf=cdf,
+        neg_log_cdf=lambda x: _apply(_GMID.neg_log, scale * exponent.eval(x)),
+        cdf=lambda x: _apply(_GMID.cdf, scale * exponent.eval(x)),
         gmid_scale=scale,
         exponent=exponent,
     )
@@ -155,24 +152,14 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
     log-compounded law with unit shape.
     """
     inner = f.neg_log_cdf
-
-    def neg_log_cdf(x):
-        v, scalar = _as_array(inner(x))
-        return _unwrap(np.log1p(v), scalar)
-
-    def cdf(x):
-        v, scalar = _as_array(inner(x))
-        return _unwrap(1.0 / (1.0 + v), scalar)
-
-    return CdfExpr(neg_log_cdf=neg_log_cdf, cdf=cdf)
+    return CdfExpr(neg_log_cdf=lambda x: _apply(_GMID.neg_log, inner(x)), cdf=lambda x: _apply(_GMID.cdf, inner(x)))
 
 
 def n_max_cdf(law, n: int, x):
     """d.f. of the maximum of n i.i.d. draws: F(x)**n via the
     neg_log_cdf channel of law, a MaxLaw or a CdfExpr."""
     positive_integer(n)
-    v, scalar = _as_array(law.neg_log_cdf(x))
-    return _unwrap(np.exp(-float(n) * v), scalar)
+    return _apply(_KINDS[LawKind.BASE].cdf, np.multiply(float(n), law.neg_log_cdf(x)))
 
 
 def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):

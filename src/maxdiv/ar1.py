@@ -71,9 +71,6 @@ class Ar1Spec:
     def marginal_law(self) -> MaxLaw:
         return ggamma_mid(self.marginal_beta, self.exponent)
 
-    def innovation_law(self) -> MaxLaw:
-        return ggamma_mid(self.innovation_beta, self.exponent)
-
 
 def stationary_innovation_shape(p: float, marginal_beta: float) -> float:
     """Innovation shape that makes the chain stationary at marginal_beta."""

@@ -10,10 +10,11 @@ increments of many grid points come from one vectorised F**dt draw in
 grid-major order, and a running maximum along the grid turns them into
 paths.  Seeded paths are byte-identical to a point-by-point loop.
 
-Subordination replaces t with a positive random time T(t).  With T(t)
-gamma(t, 1) the compound marginal is phi(-log F)**t for the gamma
-Laplace transform phi(lam) = 1/(1+lam); the log-compounded subordinator
-is supported at unit time only, where phi(lam) = 1/(1+beta*log(1+lam)).
+Subordination replaces t with a positive random time T(t), and the
+compound marginal is phi(-log F) for the Laplace transform phi of T(t).
+Both times are mixing times of law kinds, drawn and transformed by
+their laws._KINDS records: gamma(t, 1) is gamma-mid's at shape t, and
+the log-compounded time, at unit time only, ggamma-mid's at shape beta.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import positive_finite, positive_integer
-from .exponents import _as_array, _unwrap
-from .laws import MaxLaw, _sample_max, sample_ggamma
+from .laws import _KINDS, LawKind, MaxLaw, _apply, _sample_max
 
 # variates per ep_simulate_ensemble block: large enough to amortise the
 # per-call cost over long grids, small enough (0.5 MB of float64) that
@@ -76,12 +76,14 @@ class PathGrid:
     values: np.ndarray
 
 
-def _check_time(t: float, sub: SubordinatorSpec | None = None) -> float:
-    """A finite positive time, at which sub (when given) is defined."""
+def _time_kind(sub: SubordinatorSpec, t: float):
+    """The law kind's record and shape b whose mixing time is T(t)."""
     t = positive_finite(float(t), "time")
-    if sub is not None and sub.kind is SubKind.GGAMMA_UNIT and t != 1.0:
+    if sub.kind is SubKind.GAMMA:
+        return _KINDS[LawKind.GAMMA_MID], t
+    if t != 1.0:
         raise ValueError("the ggamma subordinator is defined at t = 1 only")
-    return t
+    return _KINDS[LawKind.GGAMMA_MID], sub.beta
 
 
 def _check_times(times) -> np.ndarray:
@@ -95,9 +97,8 @@ def _check_times(times) -> np.ndarray:
 
 def ep_marginal_cdf(spec: ExtremalSpec, t: float, x):
     """P{Y(t) <= x} = F(x)**t, through the -log channel."""
-    t = _check_time(t)
-    v, scalar = _as_array(spec.base.neg_log_cdf(x))
-    return _unwrap(np.exp(-t * v), scalar)
+    t = positive_finite(float(t), "time")
+    return _apply(_KINDS[LawKind.BASE].cdf, t * spec.base.neg_log_cdf(x))
 
 
 def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -159,28 +160,21 @@ def ep_simulate_path(spec: ExtremalSpec, times, rng: np.random.Generator) -> Pat
     return PathGrid(np.asarray(times, dtype=float), values)
 
 
-def subordinator_marginal(sub: SubordinatorSpec, t: float, rng: np.random.Generator, size: int | None = None):
-    """Draw T(t); the ggamma kind exists at t = 1 only.
+def subordinator_marginal(sub: SubordinatorSpec, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size draws of T(t); the ggamma kind exists at t = 1 only.
 
     Draws that underflow to 0.0 stand for positive sub-float times and
     are returned as-is; consumers map them to the bottom of the target
     support, mirroring quantile handling of unrepresentable extremes.
     """
-    t = _check_time(t, sub)
-    n = positive_integer(1 if size is None else size, "size")
-    out = rng.standard_gamma(t, n) if sub.kind is SubKind.GAMMA else sample_ggamma(sub.beta, rng, n)
-    return float(out[0]) if size is None else out
+    kind, b = _time_kind(sub, t)
+    return kind.mixing(b, rng, positive_integer(size, "size"))
 
 
 def compound_marginal_cdf(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, x):
-    """P{Y(T(t)) <= x} = phi(-log F(x))**t for the subordinator's LT phi."""
-    t = _check_time(t, sub)
-    v, scalar = _as_array(spec.base.neg_log_cdf(x))
-    if sub.kind is SubKind.GAMMA:
-        out = np.exp(-t * np.log1p(v))
-    else:
-        out = 1.0 / (1.0 + sub.beta * np.log1p(v))
-    return _unwrap(out, scalar)
+    """P{Y(T(t)) <= x} = phi(-log F(x)) for the Laplace transform phi of T(t)."""
+    kind, b = _time_kind(sub, t)
+    return _apply(kind.cdf, spec.base.neg_log_cdf(x), b)
 
 
 def compound_simulate(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, rng: np.random.Generator, n: int) -> np.ndarray:

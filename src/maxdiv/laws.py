@@ -17,14 +17,18 @@ time and is closed under geometric maxima (shape beta -> beta/p).
 Two samplers are provided: inverse transform from the quantile, and a
 latent-time route X = inverse(psi, -log(U)/T) where T follows the
 kind's mixing law (exp(1) for g-mid, gamma(beta) for gamma-mid, the
-log-compounded gamma for ggamma-mid).  Both produce the same law; the
-test-suite cross-checks them by two-sample KS.
+log-compounded gamma for ggamma-mid).  Both produce the same law, as
+each kind's F(s) is the Laplace transform E exp(-s*T) of its mixing
+time T (T = 1 for the base kind); the test-suite cross-checks them.
 
 Everything that depends on the kind lives in one record per kind in
 _KINDS: -log F and F as functions of s, the inverse map from
-w = -log F back to s, and the latent mixing sampler.  MaxLaw and the
-samplers only look records up, so adding a kind means adding one
-record, one LawKind member and a constructor, plus tests.
+w = -log F back to s, and the latent mixing sampler.  No form is
+written elsewhere: MaxLaw, the samplers, lt_ggamma, iterate_transform,
+scale_exponent, n_max_cdf, geo_max_sample, ep_marginal_cdf,
+compound_marginal_cdf and subordinator_marginal look records up, so
+adding a kind means adding one record, one LawKind member and a
+constructor, plus tests.
 """
 
 from __future__ import annotations
@@ -168,6 +172,12 @@ class MaxLaw:
         return _sample_max(base_law(self.exponent), rng, n, mixing(self.beta, rng, n))
 
 
+def _apply(form: Callable, s, b: float = 1.0):
+    """A record's neg_log or cdf at s and shape b, in a copy of s; a float for a number."""
+    ss, scalar = _as_array(s)
+    return _unwrap(form(ss.copy(), b), scalar)
+
+
 def _cdf_raw(law: MaxLaw, x: np.ndarray) -> np.ndarray:
     """F(x) in x's own buffer: x is a float array the caller allocated,
     which is overwritten with the result."""
@@ -226,11 +236,11 @@ def _nudge_off_bottom(exponent: Exponent, x):
     return x
 
 
-def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None):
-    """Gamma variate whose shape is beta times a unit exponential.
+def sample_ggamma(beta: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size gamma variates, each of shape beta times a unit exponential.
 
-    The resulting positive law has Laplace transform
-    1/(1 + beta*log(1+lam)).  Shape draws that underflow to an exact
+    The resulting positive law, the ggamma-mid mixing time, has Laplace
+    transform lt_ggamma.  Shape draws that underflow to an exact
     zero are redrawn (a zero-shape gamma is a point mass, not a member
     of the family).  Variate draws of exact 0.0 are kept: the law puts
     real mass below the smallest float (about 1/(1+744*beta)), so a
@@ -242,23 +252,22 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int | None = None
     limit, returned without an overflow warning.
     """
     positive_finite(beta, "beta")
-    n = positive_integer(1 if size is None else size, "size")
+    n = positive_integer(size, "size")
     with np.errstate(over="ignore"):
         shape = beta * rng.standard_exponential(n)
     while np.any(shape == 0.0):
         zero = shape == 0.0
         shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
-    t = rng.standard_gamma(shape, n)
-    return float(t[0]) if size is None else t
+    return rng.standard_gamma(shape, n)
 
 
 def lt_ggamma(beta: float, lam):
-    """Laplace transform of the law drawn by sample_ggamma."""
+    """Laplace transform of sample_ggamma's law: ggamma-mid's F at s = lam."""
     positive_finite(beta, "beta")
-    ls, scalar = _as_array(lam)
+    ls = np.asarray(lam, dtype=float)
     if np.any(ls < 0) or np.any(np.isnan(ls)):
         raise ValueError("Laplace argument must be >= 0")
-    return _unwrap(1.0 / (1.0 + beta * np.log1p(ls)), scalar)
+    return _apply(_KINDS[LawKind.GGAMMA_MID].cdf, ls, beta)
 
 
 # -- constructors and JSON descriptors ----------------------------------

@@ -120,6 +120,22 @@ def test_scale_exponent_composes_multiplicatively():
     assert once.gmid_scale == direct.gmid_scale == 6.0
 
 
+def test_scale_exponent_neg_log_cdf():
+    # at a = 1 it is the g-mid law's own -log F; otherwise it is -log of
+    # the scaled d.f. up to the rounding of that d.f. and of its log, at
+    # most 2 ulps of max(1, -log F) on these grids
+    eps = np.finfo(float).eps
+    for exponent in (E1, weibull(2.0), gumbel()):
+        law = g_mid(exponent)
+        h, grid = expr_from_law(law), quantile_grid(law)
+        assert scale_exponent(h, 1.0).neg_log_cdf(grid).tobytes() == law.neg_log_cdf(grid).tobytes()
+        for a in (0.5, 2.5, 7.0):
+            scaled = scale_exponent(h, a)
+            neg_log = scaled.neg_log_cdf(grid)
+            assert np.all(np.abs(neg_log + np.log(scaled.cdf(grid))) <= 4 * eps * np.maximum(1.0, neg_log)), a
+    assert type(scale_exponent(expr_from_law(g_mid(E1)), 2.0).neg_log_cdf(1.0)) is float
+
+
 def test_scale_exponent_requires_rational_structure():
     with pytest.raises(ValueError):
         scale_exponent(expr_from_law(base_law(E1)), 2.0)

@@ -87,7 +87,7 @@ def test_spec_validation_and_innovation_shape():
 def test_marginal_and_innovation_laws():
     spec = Ar1Spec(0.5, 2.0, E1)
     assert spec.marginal_law() == ggamma_mid(2.0, E1)
-    assert spec.innovation_law() == ggamma_mid(1.0, E1)
+    assert spec.innovation_beta == 1.0
 
 
 def test_one_step_preserves_the_marginal_df():
@@ -124,7 +124,7 @@ def test_innovation_df_matches_divided_shape_law():
     spec = Ar1Spec(0.5, 2.0, E1)
     grid = quantile_grid(spec.marginal_law())
     f_eps = innovation_cdf_from_marginal(spec.marginal_law().cdf(grid), spec.p)
-    np.testing.assert_allclose(f_eps, spec.innovation_law().cdf(grid), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f_eps, ggamma_mid(spec.innovation_beta, E1).cdf(grid), rtol=0, atol=1e-12)
 
 
 def test_innovation_cdf_validates_range():

@@ -59,6 +59,7 @@ def test_table_quantile_grid_and_law_options(runner):
 def test_table_rejects_malformed_grid(runner):
     assert runner.invoke(main, ["table", "--grid", "nope"]).exit_code == 2
     assert runner.invoke(main, ["table", "--grid", "5:1:10"]).exit_code == 2
+    assert runner.invoke(main, ["table", "--grid", "1:2:0"]).exit_code == 2
     assert runner.invoke(main, ["table", "--kind", "cauchy"]).exit_code == 2
 
 

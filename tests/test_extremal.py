@@ -25,6 +25,7 @@ from maxdiv import (
     gumbel,
     ks_one_sample,
     ks_two_sample,
+    n_max_cdf,
     quantile_grid,
     subordinator_marginal,
     weibull,
@@ -239,12 +240,36 @@ def test_marginal_cdf_tends_to_one_as_time_shrinks():
     assert values[-1] > 0.999999
 
 
-def test_subordinator_scalar_size():
-    rng = RandomSource(16, 32).generator()
-    t = subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), 2.0, rng)
-    assert isinstance(t, float)
-    with pytest.raises(ValueError):
-        subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), 2.0, rng, 0)
+def _same_bits(value, target, grid):
+    """value and target agree bit for bit on grid and at single points of it."""
+    assert value(grid).tobytes() == target(grid).tobytes()
+    for x in grid[::50]:
+        one, other = value(float(x)), target(float(x))
+        assert type(one) is type(other) is float
+        assert np.float64(one).tobytes() == np.float64(other).tobytes(), x
+
+
+@pytest.mark.parametrize("exponent", [frechet(1.0), weibull(2.0), gumbel()], ids=["frechet", "weibull", "gumbel"])
+def test_compound_marginals_are_the_mixing_kinds_dfs_bit_for_bit(exponent):
+    # the base process at a gamma(t) time is gamma-mid at shape t, and at
+    # the unit-time ggamma(beta) time ggamma-mid at shape beta
+    spec = ExtremalSpec(base_law(exponent))
+    for beta in (0.5, 2.0):
+        law = ggamma_mid(beta, exponent)
+        sub = SubordinatorSpec(SubKind.GGAMMA_UNIT, beta)
+        _same_bits(lambda x: compound_marginal_cdf(spec, sub, 1.0, x), law.cdf, quantile_grid(law))
+    for t in (0.5, 1.0, 2.5):
+        law = gamma_mid(t, exponent)
+        sub = SubordinatorSpec(SubKind.GAMMA)
+        _same_bits(lambda x: compound_marginal_cdf(spec, sub, t, x), law.cdf, quantile_grid(law))
+
+
+@pytest.mark.parametrize("exponent", [frechet(1.0), weibull(2.0), gumbel()], ids=["frechet", "weibull", "gumbel"])
+def test_extremal_marginal_at_n_is_the_n_max_df_bit_for_bit(exponent):
+    for base in (base_law(exponent), g_mid(exponent), ggamma_mid(0.5, exponent)):
+        spec = ExtremalSpec(base)
+        for n in (1, 3, 50):
+            _same_bits(lambda x: ep_marginal_cdf(spec, n, x), lambda x: n_max_cdf(base, n, x), quantile_grid(base))
 
 
 # The blocked ensemble redraws an exact 0.0 uniform after its whole

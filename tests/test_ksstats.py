@@ -122,6 +122,14 @@ def test_ks_rejects_a_sample_that_is_not_one_dimensional():
         ks_two_sample(ensemble[:, 0], ensemble)
 
 
+def test_ks_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_one_sample([], g_mid(E1))
+    for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(ValueError, match="nonempty samples"):
+            ks_two_sample(a, b)
+
+
 def test_two_sample_identical_and_disjoint():
     a = np.arange(1.0, 101.0)
     assert ks_two_sample(a, a.copy()).statistic == 0.0

@@ -1,5 +1,6 @@
 """Law families: d.f. closed forms, quantiles, sampling routes, serialization."""
 
+import math
 import warnings
 
 import numpy as np
@@ -273,12 +274,30 @@ def test_sample_ggamma_matches_its_laplace_transform():
         assert abs(observed - lt_ggamma(beta, 1.0)) < band
 
 
-def test_sample_ggamma_scalar_and_validation():
+# draws per cell of the Laplace-transform check: its band is 5 standard
+# errors of the mean of exp(-s*T), whose variance phi(2s) - phi(s)**2 is
+# exact from the form itself (exp(-2sT) = exp(-s*T)**2)
+MIXING_N = 200_000
+
+
+@pytest.mark.parametrize("kind", [LawKind.GMID, LawKind.GAMMA_MID, LawKind.GGAMMA_MID])
+def test_each_cdf_form_is_the_laplace_transform_of_its_mixing_draw(kind):
+    record = _KINDS[kind]
+
+    def phi(s, b):
+        return float(record.cdf(np.array([s]), b)[0])
+
+    for stream, b in enumerate((0.5, 2.0)):
+        t = record.mixing(b, RandomSource(17, stream).generator(), MIXING_N)
+        for s in (0.1, 1.0, 10.0):
+            band = 5.0 * math.sqrt((phi(2.0 * s, b) - phi(s, b) ** 2) / MIXING_N)
+            assert abs(float(np.mean(np.exp(-s * t))) - phi(s, b)) < band, (b, s)
+
+
+def test_sample_ggamma_validation():
     rng = RandomSource(0, 7).generator()
-    x = sample_ggamma(1.0, rng)
-    assert isinstance(x, float) and x >= 0.0
     with pytest.raises(ValueError):
-        sample_ggamma(-1.0, rng)
+        sample_ggamma(-1.0, rng, 10)
     with pytest.raises(ValueError):
         sample_ggamma(1.0, rng, 0)
 
@@ -301,15 +320,14 @@ def test_sample_ggamma_returns_inf_for_a_shape_beyond_float_range():
     assert 0 < np.count_nonzero(np.isinf(draws)) < 100
 
 
-@pytest.mark.parametrize("size", [None, 10_000])
+@pytest.mark.parametrize("n", [1, 10_000])
 @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
-def test_gamma_draws_are_the_bits_of_unit_scale_rng_gamma(shape, size):
+def test_gamma_draws_are_the_bits_of_unit_scale_rng_gamma(shape, n):
     # the three gamma sites draw rng.standard_gamma(shape, n); numpy's
     # rng.gamma(shape, 1.0, n) is 1.0 times that on the same stream
-    n = 1 if size is None else size
     sites = {
         "sample_ggamma": (
-            lambda rng: sample_ggamma(shape, rng, size),
+            lambda rng: sample_ggamma(shape, rng, n),
             lambda rng: rng.gamma(shape * rng.standard_exponential(n), 1.0, n),
         ),
         "gamma-mid mixing": (
@@ -317,13 +335,13 @@ def test_gamma_draws_are_the_bits_of_unit_scale_rng_gamma(shape, size):
             lambda rng: rng.gamma(shape, 1.0, n),
         ),
         "subordinator_marginal": (
-            lambda rng: subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), shape, rng, size),
+            lambda rng: subordinator_marginal(SubordinatorSpec(SubKind.GAMMA), shape, rng, n),
             lambda rng: rng.gamma(shape, 1.0, n),
         ),
     }
     for name, (site, reference) in sites.items():
         rng, twin = RandomSource(5).generator(), RandomSource(5).generator()
-        draws, expected = np.asarray(site(rng), dtype=float).reshape(-1), reference(twin)
+        draws, expected = site(rng), reference(twin)
         assert draws.tobytes() == expected.tobytes(), name
         assert rng.random(4).tobytes() == twin.random(4).tobytes(), name
 

@@ -153,6 +153,18 @@ def test_a_nan_geo_max_cell_fails_its_check(theorem_id, monkeypatch):
     assert not report.passed, format_report(report)
 
 
+def test_a_convergence_scheme_that_moves_away_fails_its_check(monkeypatch):
+    # step n of the patched scheme is step 100000/n of the real one, so its
+    # distance to the limit grows with n: the guard sets the discrepancy to
+    # the tolerance, which pass == (discrepancy < tolerance) fails
+    real = verify_module.limit_geo_gamma_cdf
+    monkeypatch.setattr(verify_module, "limit_geo_gamma_cdf", lambda beta, n, exponent, x: real(beta, 100_000 // n, exponent, x))
+    report = verify("T2_3", seed=0)
+    assert report.discrepancy == report.tolerance == 1e-3
+    assert report.detail.startswith("sup sequence not decreasing")
+    assert not report.passed, format_report(report)
+
+
 def _spy_ks(monkeypatch, nan_call=None):
     """Record every KS report of the registry; call nan_call reports NaN."""
     real, reports = verify_module.ks_one_sample, []
