@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
-from .exponents import Exponent, Family, _as_array, _unwrap
-from .laws import _KINDS, LawKind, MaxLaw, _apply, _neg_log, _quantile_w
+from .exponents import Exponent, Family, _apply
+from .laws import _KINDS, LawKind, MaxLaw, _neg_log, _quantile_w
 from .rng import uniform_open
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _GMID = _KINDS[LawKind.GMID]
+_BASE = _KINDS[LawKind.BASE]
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,7 @@ def geo_max_cdf(h, p, x):
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
     fn = h.cdf if isinstance(h, MaxLaw) else h
-    hv, scalar = _as_array(fn(x))
-    out = np.clip(p * hv / (1.0 - (1.0 - p) * hv), 0.0, 1.0)
-    return _unwrap(out, scalar)
+    return _apply(lambda hv: np.clip(p * hv / (1.0 - (1.0 - p) * hv), 0.0, 1.0, out=hv), fn(x))
 
 
 def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = None):
@@ -122,11 +121,16 @@ def scale_exponent(h: CdfExpr, a: float) -> CdfExpr:
     scale = a * h.gmid_scale
     exponent = h.exponent
     return CdfExpr(
-        neg_log_cdf=lambda x: _apply(_GMID.neg_log, scale * exponent.eval(x)),
-        cdf=lambda x: _apply(_GMID.cdf, scale * exponent.eval(x)),
+        neg_log_cdf=lambda x: _apply(_scaled_gmid, x, _GMID.neg_log, scale, exponent),
+        cdf=lambda x: _apply(_scaled_gmid, x, _GMID.cdf, scale, exponent),
         gmid_scale=scale,
         exponent=exponent,
     )
+
+
+def _scaled_gmid(x: np.ndarray, form, scale: float, exponent: Exponent) -> np.ndarray:
+    """A g-mid form at s = scale * psi(x), in the buffer of x."""
+    return form(np.multiply(scale, exponent._eval_raw(x), out=x), 1.0)
 
 
 def semi_stable_scale(p, exponent: Exponent) -> float:
@@ -152,14 +156,14 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
     log-compounded law with unit shape.
     """
     inner = f.neg_log_cdf
-    return CdfExpr(neg_log_cdf=lambda x: _apply(_GMID.neg_log, inner(x)), cdf=lambda x: _apply(_GMID.cdf, inner(x)))
+    return CdfExpr(neg_log_cdf=lambda x: _apply(_GMID.neg_log, inner(x), 1.0), cdf=lambda x: _apply(_GMID.cdf, inner(x), 1.0))
 
 
 def n_max_cdf(law, n: int, x):
     """d.f. of the maximum of n i.i.d. draws: F(x)**n via the
     neg_log_cdf channel of law, a MaxLaw or a CdfExpr."""
-    positive_integer(n)
-    return _apply(_KINDS[LawKind.BASE].cdf, np.multiply(float(n), law.neg_log_cdf(x)))
+    n = float(positive_integer(n))
+    return _apply(lambda v: _BASE.cdf(np.multiply(n, v, out=v), 1.0), law.neg_log_cdf(x))
 
 
 def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):
@@ -174,7 +178,4 @@ def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):
     """
     positive_finite(beta, "beta")
     positive_integer(n)
-    s, scalar = _as_array(exponent.eval(x))
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + n * np.expm1((beta / n) * np.log1p(s)))
-    return _unwrap(out, scalar)
+    return _apply(lambda s: 1.0 / (1.0 + n * np.expm1((beta / n) * np.log1p(exponent._eval_raw(s)))), x)

@@ -38,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
-from .exponents import Exponent, _as_array, _unwrap
+from .exponents import Exponent, _apply
 from .extremal import _running_max
 from .laws import MaxLaw, _neg_log, _quantile_w, _sample_max, ggamma_mid
 from .rng import uniform_open
 
 __all__ = [
     "Ar1Spec",
-    "stationary_innovation_shape",
     "innovation_cdf_from_marginal",
     "ar1_simulate",
     "ar1_ensemble",
@@ -66,24 +65,22 @@ class Ar1Spec:
 
     @property
     def innovation_beta(self) -> float:
-        return stationary_innovation_shape(self.p, self.marginal_beta)
+        return self.p * self.marginal_beta
 
     def marginal_law(self) -> MaxLaw:
         return ggamma_mid(self.marginal_beta, self.exponent)
 
 
-def stationary_innovation_shape(p: float, marginal_beta: float) -> float:
-    """Innovation shape that makes the chain stationary at marginal_beta."""
-    return probability(p) * positive_finite(marginal_beta, "marginal_beta")
-
-
 def innovation_cdf_from_marginal(marginal_value, p: float):
     """Solve F = p*F_eps + (1-p)*F*F_eps for F_eps given F(x) values."""
     probability(p)
-    f, scalar = _as_array(marginal_value)
-    if np.any(f < 0.0) or np.any(f > 1.0) or np.any(np.isnan(f)):
+    return _apply(_innovation_cdf, marginal_value, p)
+
+
+def _innovation_cdf(f: np.ndarray, p: float) -> np.ndarray:
+    if not np.all((f >= 0.0) & (f <= 1.0)):  # NaN included
         raise ValueError("marginal d.f. values must lie in [0, 1]")
-    return _unwrap(f / (p + (1.0 - p) * f), scalar)
+    return f / (p + (1.0 - p) * f)
 
 
 def _innovations(spec: Ar1Spec, rng: np.random.Generator, n: int, beta_override: float | None, k=None) -> np.ndarray:

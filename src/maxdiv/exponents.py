@@ -8,8 +8,8 @@ support shape:
     weibull:  psi(x) = (-x)**alpha for x < 0, 0 otherwise
     gumbel:   psi(x) = exp(-x)     on the whole line
 
-All evaluation routines accept scalars or numpy arrays and return the
-matching shape.
+Every d.f. of the package takes a number or an array through one
+helper, _apply, and returns a float for a number, else an array.
 """
 
 from __future__ import annotations
@@ -39,13 +39,15 @@ class Support:
     upper: float = np.inf
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _unwrap(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
+def _apply(fn, x, *args):
+    """fn(buffer, *args) on one float copy of x with at least one
+    dimension, which fn may overwrite and return.  A Python float for a
+    number, a numpy scalar or a 0-d array, else the array.  A result
+    beyond float range is its IEEE limit, without an overflow warning."""
+    buffer = np.array(x, dtype=float, order="C")
+    with np.errstate(over="ignore"):
+        out = fn(np.atleast_1d(buffer), *args)
+    return float(out[0]) if buffer.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ class Exponent:
         composed d.f. built on psi maps NaN to NaN rather than to a
         family-dependent 0 or 1.
         """
-        xs, scalar = _as_array(x)
-        return _unwrap(self._eval_raw(xs.copy()), scalar)
+        return _apply(self._eval_raw, x)
 
     def _eval_raw(self, x):
         # in-place core of eval: x is a float array the caller allocated,
@@ -95,17 +96,8 @@ class Exponent:
                 np.abs(np.exp(np.negative(x, out=x), out=x), out=x)
         return x
 
-    def inverse(self, s):
-        """The x with psi(x) = s, for finite s > 0; an x beyond float
-        range is returned as its IEEE limit, without a warning."""
-        ss, scalar = _as_array(s)
-        if np.any(~np.isfinite(ss)) or np.any(ss <= 0):
-            raise ValueError("inverse requires finite s > 0")
-        with np.errstate(over="ignore"):
-            return _unwrap(self._inverse_raw(ss.copy()), scalar)
-
     def _inverse_raw(self, s):
-        # unchecked path: s = +inf maps to the support bottom by IEEE limits.
+        # the x with psi(x) = s; s = +inf maps to the support bottom by IEEE limits.
         # An array s is overwritten with the result, so callers pass arrays
         # they allocated; a numpy scalar s (one draw) gives a new scalar.
         # Python's ** is kept, in place or not, because np.power differs in

@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from ._checks import positive_finite, positive_integer
-from .laws import _KINDS, LawKind, MaxLaw, _apply, _sample_max
+from .exponents import _apply
+from .laws import _KINDS, LawKind, MaxLaw, _neg_log_cdf_raw, _sample_max
 
 # variates per ep_simulate_ensemble block: large enough to amortise the
 # per-call cost over long grids, small enough (0.5 MB of float64) that
@@ -98,7 +99,7 @@ def _check_times(times) -> np.ndarray:
 def ep_marginal_cdf(spec: ExtremalSpec, t: float, x):
     """P{Y(t) <= x} = F(x)**t, through the -log channel."""
     t = positive_finite(float(t), "time")
-    return _apply(_KINDS[LawKind.BASE].cdf, t * spec.base.neg_log_cdf(x))
+    return _apply(lambda s: _KINDS[LawKind.BASE].cdf(np.multiply(t, _neg_log_cdf_raw(s, spec.base), out=s), 1.0), x)
 
 
 def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -174,7 +175,7 @@ def subordinator_marginal(sub: SubordinatorSpec, t: float, rng: np.random.Genera
 def compound_marginal_cdf(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, x):
     """P{Y(T(t)) <= x} = phi(-log F(x)) for the Laplace transform phi of T(t)."""
     kind, b = _time_kind(sub, t)
-    return _apply(kind.cdf, spec.base.neg_log_cdf(x), b)
+    return _apply(lambda s: kind.cdf(_neg_log_cdf_raw(s, spec.base), b), x)
 
 
 def compound_simulate(spec: ExtremalSpec, sub: SubordinatorSpec, t: float, rng: np.random.Generator, n: int) -> np.ndarray:

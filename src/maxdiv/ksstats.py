@@ -71,7 +71,7 @@ def ks_one_sample(samples, cdf) -> KSReport:
     if n < 1:
         raise ValueError("ks_one_sample needs at least one sample")
     # the sorted copy is ours: a MaxLaw's d.f. overwrites it in place
-    f = _cdf_raw(cdf, xs) if isinstance(cdf, MaxLaw) else np.asarray(cdf(xs), dtype=float)
+    f = _cdf_raw(xs, cdf) if isinstance(cdf, MaxLaw) else np.asarray(cdf(xs), dtype=float)
     stat = _ks_distance(f)
     crit = critical_one_sample(n)
     return KSReport(stat, n, None, crit, stat < crit)

@@ -28,7 +28,8 @@ written elsewhere: MaxLaw, the samplers, lt_ggamma, iterate_transform,
 scale_exponent, n_max_cdf, geo_max_sample, ep_marginal_cdf,
 compound_marginal_cdf and subordinator_marginal look records up, so
 adding a kind means adding one record, one LawKind member and a
-constructor, plus tests.
+constructor, plus tests.  A d.f. takes a number or an array through
+exponents._apply, which copies it once for the in-place cores below.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import open_unit, positive_finite, positive_integer
-from .exponents import Exponent, Family, _as_array, _min_inside, _unwrap
+from .exponents import Exponent, Family, _apply, _min_inside
 from .rng import uniform_open
 
 __all__ = [
@@ -137,17 +138,14 @@ class MaxLaw:
 
     def neg_log_cdf(self, x):
         """-log F(x); computed with log1p so deep tails do not cancel."""
-        xs, scalar = _as_array(x)
-        return _unwrap(_KINDS[self.kind].neg_log(self.exponent._eval_raw(xs.copy()), self.beta), scalar)
+        return _apply(_neg_log_cdf_raw, x, self)
 
     def cdf(self, x):
-        xs, scalar = _as_array(x)
-        return _unwrap(_cdf_raw(self, xs.copy()), scalar)
+        return _apply(_cdf_raw, x, self)
 
     def quantile(self, u):
         """Inverse d.f. on (0, 1); endpoints are rejected."""
-        us, scalar = _as_array(u)
-        return _unwrap(_quantile_w(self, -np.log(open_unit(us))), scalar)
+        return _apply(lambda us: _quantile_w(self, _neg_log(open_unit(us))), u)
 
     # samplers take an explicit numpy Generator so that identical
     # (seed, stream) sources reproduce identical output
@@ -172,16 +170,15 @@ class MaxLaw:
         return _sample_max(base_law(self.exponent), rng, n, mixing(self.beta, rng, n))
 
 
-def _apply(form: Callable, s, b: float = 1.0):
-    """A record's neg_log or cdf at s and shape b, in a copy of s; a float for a number."""
-    ss, scalar = _as_array(s)
-    return _unwrap(form(ss.copy(), b), scalar)
+def _neg_log_cdf_raw(x: np.ndarray, law: MaxLaw) -> np.ndarray:
+    """-log F(x) in x's own buffer, a float array the caller allocated."""
+    return _KINDS[law.kind].neg_log(law.exponent._eval_raw(x), law.beta)
 
 
-def _cdf_raw(law: MaxLaw, x: np.ndarray) -> np.ndarray:
-    """F(x) in x's own buffer: x is a float array the caller allocated,
-    which is overwritten with the result."""
-    return _KINDS[law.kind].cdf(law.exponent._eval_raw(x), law.beta)
+def _cdf_raw(x: np.ndarray, law: MaxLaw) -> np.ndarray:
+    """F(x) in x's own buffer, as _neg_log_cdf_raw; overflow gives the IEEE limit silently."""
+    with np.errstate(over="ignore"):
+        return _KINDS[law.kind].cdf(law.exponent._eval_raw(x), law.beta)
 
 
 def _quantile_w(law: MaxLaw, w, k=None):
@@ -264,10 +261,13 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int) -> np.ndarra
 def lt_ggamma(beta: float, lam):
     """Laplace transform of sample_ggamma's law: ggamma-mid's F at s = lam."""
     positive_finite(beta, "beta")
-    ls = np.asarray(lam, dtype=float)
-    if np.any(ls < 0) or np.any(np.isnan(ls)):
+    return _apply(_ggamma_laplace, lam, beta)
+
+
+def _ggamma_laplace(s: np.ndarray, beta: float) -> np.ndarray:
+    if not np.all(s >= 0):  # NaN included
         raise ValueError("Laplace argument must be >= 0")
-    return _apply(_KINDS[LawKind.GGAMMA_MID].cdf, ls, beta)
+    return _KINDS[LawKind.GGAMMA_MID].cdf(s, beta)
 
 
 # -- constructors and JSON descriptors ----------------------------------

@@ -102,6 +102,21 @@ def test_geo_max_of_geometric_stable_law_is_a_rescaling():
                 assert float(np.max(diff)) < 1e-12, (make.__name__, alpha, p)
 
 
+def test_geo_max_of_gumbel_laws_is_a_shift_or_a_shape_change():
+    # psi(x)/p = psi(x + log p) for the gumbel exponent, so the geometric(p)-max
+    # of g-mid is g-mid shifted by log p, and of ggamma-mid is its shape beta/p
+    law = g_mid(gumbel())
+    grid = quantile_grid(law)
+    for p in PS:
+        diff = np.abs(geo_max_cdf(law, p, grid) - law.cdf(grid + np.log(p)))
+        assert float(np.max(diff)) <= 1e-15, p
+        for beta in BETAS:
+            start = ggamma_mid(beta, gumbel())
+            start_grid = quantile_grid(start)
+            diff = np.abs(geo_max_cdf(start, p, start_grid) - ggamma_mid(beta / p, gumbel()).cdf(start_grid))
+            assert float(np.max(diff)) <= 1e-15, (beta, p)
+
+
 def test_scale_exponent_matches_geometric_composition():
     h = expr_from_law(g_mid(E1))
     grid = quantile_grid(g_mid(E1))

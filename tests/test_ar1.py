@@ -16,7 +16,6 @@ from maxdiv import (
     ks_one_sample,
     ks_two_sample,
     quantile_grid,
-    stationary_innovation_shape,
     weibull,
 )
 from maxdiv.extremal import _running_max
@@ -75,7 +74,6 @@ DECREASE_RATE = {
 def test_spec_validation_and_innovation_shape():
     spec = Ar1Spec(0.25, 2.0, E1)
     assert spec.innovation_beta == 0.5
-    assert stationary_innovation_shape(0.25, 2.0) == 0.5
     for bad_p in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             Ar1Spec(bad_p, 1.0, E1)

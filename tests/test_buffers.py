@@ -7,6 +7,8 @@ an array a caller passes in is never written, and seeded output equals
 the out-of-place computation bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,26 @@ from maxdiv import (
     SubordinatorSpec,
     ar1_ensemble,
     base_law,
+    cdf_validity_gap,
     compound_marginal_cdf,
     ep_marginal_cdf,
+    expr_from_law,
     frechet,
     g_mid,
     gamma_mid,
     geo_max_cdf,
     ggamma_mid,
     gumbel,
+    innovation_cdf_from_marginal,
+    iterate_transform,
     ks_one_sample,
     ks_two_sample,
+    limit_geo_gamma_cdf,
+    lt_ggamma,
+    n_max_cdf,
+    quantile_grid,
+    scale_exponent,
+    sup_norm_grid,
     weibull,
 )
 from maxdiv.exponents import Family
@@ -215,9 +227,11 @@ def read_only(values):
 def test_caller_arrays_are_never_written():
     law = ggamma_mid(0.5, frechet(1.7))
     spec = ExtremalSpec(gamma_mid(2.0, weibull(1.7)))
+    expr = expr_from_law(g_mid(frechet(1.7)))
     x = read_only([np.nan, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0, np.inf])
     u = read_only([1e-300, 0.1, 0.5, 0.9, 1.0 - 1e-16])
     w = read_only([1e-300, 0.1, 1.0, 30.0, 700.0])
+    grid = read_only(quantile_grid(law, count=50))
     sample = read_only(law.sample_inverse(RandomSource(1).generator(), 500))
     other = read_only(law.sample_inverse(RandomSource(2).generator(), 300))
     calls = [
@@ -225,18 +239,118 @@ def test_caller_arrays_are_never_written():
         lambda: law.neg_log_cdf(x),
         lambda: law.quantile(u),
         lambda: law.exponent.eval(x),
-        lambda: law.exponent.inverse(w),
+        lambda: lt_ggamma(0.5, w),
         lambda: ep_marginal_cdf(spec, 1.5, x),
         lambda: compound_marginal_cdf(spec, SubordinatorSpec(SubKind.GAMMA), 1.5, x),
         lambda: compound_marginal_cdf(ExtremalSpec(base_law(gumbel())), SubordinatorSpec(SubKind.GGAMMA_UNIT, 0.5), 1.0, x),
         lambda: geo_max_cdf(law, 0.3, x),
         lambda: geo_max_cdf(lambda v: v, 0.3, u),
+        lambda: scale_exponent(expr, 2.5).cdf(x),
+        lambda: scale_exponent(expr, 2.5).neg_log_cdf(x),
+        lambda: iterate_transform(expr).cdf(x),
+        lambda: iterate_transform(expr).neg_log_cdf(x),
+        lambda: n_max_cdf(law, 3, x),
+        lambda: n_max_cdf(expr, 3, x),
+        lambda: limit_geo_gamma_cdf(0.5, 3, law.exponent, x),
+        lambda: innovation_cdf_from_marginal(u, 0.3),
+        lambda: cdf_validity_gap(law, grid, 0.0, np.inf),
+        lambda: sup_norm_grid(law.cdf, expr, grid),
         lambda: ks_one_sample(sample, law),
         lambda: ks_one_sample(u, lambda v: v),
         lambda: ks_two_sample(sample, other),
     ]
-    before = [bits(a).copy() for a in (x, u, w, sample, other)]
+    before = [bits(a).copy() for a in (x, u, w, grid, sample, other)]
     for call in calls:
         call()
-    for a, b in zip((x, u, w, sample, other), before):
+    for a, b in zip((x, u, w, grid, sample, other), before):
         np.testing.assert_array_equal(bits(a), b)
+
+
+# -- one boundary: a number gives a float, an array an array of its shape ----
+
+_E = frechet(1.7)
+_EXPR = expr_from_law(g_mid(_E))
+_DFS = {
+    "Exponent.eval": _E.eval,
+    "MaxLaw.cdf": ggamma_mid(0.5, _E).cdf,
+    "MaxLaw.neg_log_cdf": ggamma_mid(0.5, _E).neg_log_cdf,
+    "MaxLaw.quantile": ggamma_mid(0.5, _E).quantile,
+    "lt_ggamma": lambda v: lt_ggamma(0.5, v),
+    "geo_max_cdf": lambda v: geo_max_cdf(g_mid(_E), 0.3, v),
+    "scale_exponent.cdf": scale_exponent(_EXPR, 2.5).cdf,
+    "scale_exponent.neg_log_cdf": scale_exponent(_EXPR, 2.5).neg_log_cdf,
+    "iterate_transform.cdf": iterate_transform(_EXPR).cdf,
+    "iterate_transform.neg_log_cdf": iterate_transform(_EXPR).neg_log_cdf,
+    "n_max_cdf": lambda v: n_max_cdf(g_mid(_E), 3, v),
+    "limit_geo_gamma_cdf": lambda v: limit_geo_gamma_cdf(0.5, 3, _E, v),
+    "innovation_cdf_from_marginal": lambda v: innovation_cdf_from_marginal(v, 0.3),
+    "ep_marginal_cdf": lambda v: ep_marginal_cdf(ExtremalSpec(gamma_mid(2.0, _E)), 1.5, v),
+    "compound_marginal_cdf": lambda v: compound_marginal_cdf(ExtremalSpec(base_law(_E)), SubordinatorSpec(SubKind.GAMMA), 1.5, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DFS))
+def test_a_number_gives_a_float_and_an_array_an_array(name):
+    fn = _DFS[name]
+    for number in (0.25, np.float64(0.25), np.float32(0.25), np.array(0.25)):
+        value = fn(number)
+        assert type(value) is float, (name, type(number))
+        assert bits(value) == bits(fn(np.array([0.25])))[0], name
+    for array in ([0.25, 0.5], np.array([[0.1, 0.25, 0.5], [0.6, 0.75, 0.9]])):
+        value = fn(array)
+        assert type(value) is np.ndarray and value.shape == np.shape(array), (name, np.shape(array))
+
+
+# -- overflow deep in the lower tail is silent ------------------------------
+
+# -log F as a function of s = psi(x), out of place
+_NEG_LOG_OF_S = {
+    LawKind.BASE: lambda s, b: s,
+    LawKind.GMID: lambda s, b: np.log1p(s),
+    LawKind.GAMMA_MID: lambda s, b: b * np.log1p(s),
+    LawKind.GGAMMA_MID: lambda s, b: np.log1p(b * np.log1p(s)),
+}
+
+
+@pytest.mark.parametrize("beta", [0.5, 1e308])
+@pytest.mark.parametrize("exponent", [frechet(1.0), weibull(1.0), gumbel()], ids=lambda e: e.family.value)
+def test_lower_tail_overflow_gives_the_ieee_limit_without_a_warning(exponent, beta):
+    # psi(x) is near the float maximum here, so n * (-log F), beta * log1p(psi)
+    # and 2 * psi overflow; each d.f. is the value of its formula in IEEE
+    # arithmetic, where an overflowed term is inf
+    x = {Family.FRECHET: 1e-308, Family.WEIBULL: -1e308, Family.GUMBEL: -709.0}[exponent.family]
+    s = reference_psi(exponent, np.array([x]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lt = lt_ggamma(beta, exponent.eval(x))
+    with np.errstate(over="ignore"):
+        assert bits(lt) == bits(_CDF_OF_S[LawKind.GGAMMA_MID](s, beta)[0])
+    for law in (base_law(exponent), g_mid(exponent), gamma_mid(beta, exponent), ggamma_mid(beta, exponent)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {
+                "cdf": law.cdf(x),
+                "cdf of an array": law.cdf([x])[0],
+                "neg_log_cdf": law.neg_log_cdf(x),
+                "n_max_cdf": n_max_cdf(law, 2, x),
+                "ep_marginal_cdf": ep_marginal_cdf(ExtremalSpec(law), 2.0, [x])[0],
+                "geo_max_cdf": geo_max_cdf(law, 0.5, x),
+                "ks_one_sample": ks_one_sample([x], law).statistic,
+            }
+            if law.kind is LawKind.GMID:
+                got["scale_exponent"] = scale_exponent(expr_from_law(law), 2.0).cdf([x])[0]
+        with np.errstate(over="ignore"):
+            f = _CDF_OF_S[law.kind](s, law.beta)[0]
+            neg_log = _NEG_LOG_OF_S[law.kind](s, law.beta)[0]
+            expected = {
+                "cdf": f,
+                "cdf of an array": f,
+                "neg_log_cdf": neg_log,
+                "n_max_cdf": np.exp(-(2.0 * neg_log)),
+                "ep_marginal_cdf": np.exp(-(2.0 * neg_log)),
+                "geo_max_cdf": 0.5 * f / (1.0 - 0.5 * f),
+                "ks_one_sample": max(1.0 - f, f),
+                "scale_exponent": (1.0 / (1.0 + 2.0 * s))[0],
+            }
+        for name, value in got.items():
+            assert bits(value) == bits(expected[name]), (law, name)

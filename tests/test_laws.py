@@ -174,6 +174,17 @@ def test_deep_weibull_quantiles_do_not_warn():
         assert np.isfinite(x) and x < 0.0
 
 
+def test_quantile_beyond_float_range_is_the_ieee_limit_without_a_warning():
+    # at shape 1e308, s = expm1(w / beta) is subnormal and s**-1 overflows:
+    # the upper quantile is its IEEE limit, returned silently
+    law = gamma_mid(1e308, frechet(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.quantile(0.9) == np.inf
+        upper, lower = law.quantile([0.9, 1e-300])
+    assert upper == np.inf and np.isfinite(lower)
+
+
 def test_deep_upper_quantile_is_finite():
     law = ggamma_mid(0.5, E1)
     x = law.quantile(1.0 - 1e-12)

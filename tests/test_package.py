@@ -19,9 +19,8 @@ PUBLIC = [
     "innovation_cdf_from_marginal", "iterate_transform", "ks_one_sample",
     "ks_two_sample", "law_from_dict", "law_to_dict", "limit_geo_gamma_cdf",
     "lt_ggamma", "n_max_cdf", "quantile_grid", "report_to_dict", "sample_ggamma",
-    "scale_exponent", "semi_stable_scale", "stationary_innovation_shape",
-    "subordinator_marginal", "sup_norm_grid", "uniform_open", "verify",
-    "verify_all", "weibull",
+    "scale_exponent", "semi_stable_scale", "subordinator_marginal",
+    "sup_norm_grid", "uniform_open", "verify", "verify_all", "weibull",
 ]  # fmt: skip
 
 

@@ -132,6 +132,46 @@ for law in (maxdiv.g_mid(maxdiv.frechet(1.7)), maxdiv.g_mid(maxdiv.weibull(1.7))
         values.append([maxdiv.cdf_validity_gap(h, grid, -np.inf, np.inf)])
 sys.stdout.buffer.write(np.concatenate(values).tobytes())
 """,
+    # the one boundary between a caller's number or array and the d.f. cores:
+    # each value's type (f: float, a: ndarray) and bits at a number, a numpy
+    # scalar, a 0-d array and an array
+    "every number-or-array function at each argument form, four kinds x three families": """
+import sys
+import numpy as np
+import maxdiv
+out = sys.stdout.buffer
+edges = [-np.inf, -1.0, -0.0, 0.0, 1e-300, np.inf, np.nan]
+for e in (maxdiv.frechet(1.7), maxdiv.weibull(1.7), maxdiv.gumbel()):
+    for law in (maxdiv.base_law(e), maxdiv.g_mid(e), maxdiv.gamma_mid(2.0, e), maxdiv.ggamma_mid(0.5, e)):
+        grid = maxdiv.quantile_grid(law, count=257)
+        x = np.concatenate([grid, edges])
+        expr = maxdiv.expr_from_law(law)
+        spec = maxdiv.ExtremalSpec(law)
+        calls = [
+            (e.eval, x), (law.cdf, x), (law.neg_log_cdf, x),
+            (law.quantile, np.linspace(0.001, 0.999, 257)),
+            (lambda v: maxdiv.lt_ggamma(law.beta, v), e.eval(grid)),
+            (lambda v: maxdiv.innovation_cdf_from_marginal(v, 0.3), law.cdf(grid)),
+            (lambda v: maxdiv.geo_max_cdf(law, 0.3, v), x),
+            (lambda v: maxdiv.geo_max_cdf(expr, 0.3, v), x),
+            (lambda v: maxdiv.n_max_cdf(law, 3, v), x),
+            (lambda v: maxdiv.n_max_cdf(expr, 3, v), x),
+            (maxdiv.iterate_transform(expr).cdf, x),
+            (maxdiv.iterate_transform(expr).neg_log_cdf, x),
+            (lambda v: maxdiv.limit_geo_gamma_cdf(law.beta, 3, e, v), x),
+            (lambda v: maxdiv.ep_marginal_cdf(spec, 1.5, v), x),
+            (lambda v: maxdiv.compound_marginal_cdf(spec, maxdiv.SubordinatorSpec("gamma"), 1.5, v), x),
+            (lambda v: maxdiv.compound_marginal_cdf(spec, maxdiv.SubordinatorSpec("ggamma", 0.5), 1.0, v), x),
+        ]
+        if expr.gmid_scale is not None:
+            calls += [(maxdiv.scale_exponent(expr, 2.5).cdf, x), (maxdiv.scale_exponent(expr, 2.5).neg_log_cdf, x)]
+        for fn, arg in calls:
+            point = arg[128]
+            for a in (float(point), np.float64(point), np.array(point), arg):
+                value = fn(a)
+                out.write(b"f" if type(value) is float else b"a" if type(value) is np.ndarray else repr(type(value)).encode())
+                out.write(np.asarray(value, dtype=float).tobytes())
+""",
 }
 
 
