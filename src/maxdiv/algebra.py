@@ -31,7 +31,7 @@ import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
 from .exponents import Exponent, Family, _apply
-from .laws import _KINDS, LawKind, MaxLaw, _neg_log, _quantile_w
+from .laws import _KINDS, LawKind, MaxLaw, _cdf_raw, _neg_log, _neg_log_cdf_raw, _quantile_w
 from .rng import uniform_open
 
 __all__ = [
@@ -82,14 +82,25 @@ def expr_from_law(law: MaxLaw) -> CdfExpr:
 def geo_max_cdf(h, p, x):
     """d.f. of the maximum of a geometric(p) number of i.i.d. H draws.
 
-    h is a MaxLaw, read through its cdf, or any vectorized d.f.
-    callable, a CdfExpr included.  The rational form is evaluated
-    literally; results are clipped to [0, 1] to absorb one-ulp overshoot
-    at H = 1.
+    h is a MaxLaw, whose d.f. is evaluated in the one copy of x, or any
+    vectorized d.f. callable, a CdfExpr included, whose result is copied.
+    The rational form is evaluated literally; results are clipped to
+    [0, 1] to absorb one-ulp overshoot at H = 1.
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
-    fn = h.cdf if isinstance(h, MaxLaw) else h
-    return _apply(lambda hv: np.clip(p * hv / (1.0 - (1.0 - p) * hv), 0.0, 1.0, out=hv), fn(x))
+    if isinstance(h, MaxLaw):
+        return _apply(lambda v: _geo_max(_cdf_raw(v, h), p), x)
+    return _apply(_geo_max, h(x), p)
+
+
+def _geo_max(hv: np.ndarray, p: float) -> np.ndarray:
+    """p*H / (1 - (1-p)*H), clipped, in the buffer of the H values hv
+    with one scratch array: the literal form's operations in its order."""
+    q = np.multiply(1.0 - p, hv)
+    np.subtract(1.0, q, out=q)
+    np.multiply(p, hv, out=hv)
+    np.divide(hv, q, out=hv)
+    return np.clip(hv, 0.0, 1.0, out=hv)
 
 
 def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = None):
@@ -161,9 +172,17 @@ def iterate_transform(f: CdfExpr) -> CdfExpr:
 
 def n_max_cdf(law, n: int, x):
     """d.f. of the maximum of n i.i.d. draws: F(x)**n via the
-    neg_log_cdf channel of law, a MaxLaw or a CdfExpr."""
+    neg_log_cdf channel of law, a MaxLaw, evaluated in the one copy of x,
+    or a CdfExpr, whose channel's result is copied."""
     n = float(positive_integer(n))
-    return _apply(lambda v: _BASE.cdf(np.multiply(n, v, out=v), 1.0), law.neg_log_cdf(x))
+    if isinstance(law, MaxLaw):
+        return _apply(lambda v: _power(_neg_log_cdf_raw(v, law), n), x)
+    return _apply(_power, law.neg_log_cdf(x), n)
+
+
+def _power(y: np.ndarray, n: float) -> np.ndarray:
+    """exp(-n*y), in the buffer of the -log F values y."""
+    return _BASE.cdf(np.multiply(n, y, out=y), 1.0)
 
 
 def limit_geo_gamma_cdf(beta: float, n: int, exponent: Exponent, x):

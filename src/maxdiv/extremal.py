@@ -26,12 +26,7 @@ import numpy as np
 
 from ._checks import positive_finite, positive_integer
 from .exponents import _apply
-from .laws import _KINDS, LawKind, MaxLaw, _neg_log_cdf_raw, _sample_max
-
-# variates per ep_simulate_ensemble block: large enough to amortise the
-# per-call cost over long grids, small enough (0.5 MB of float64) that
-# the block's temporaries stay in cache for large ensembles
-_EP_BLOCK_VARIATES = 2**16
+from .laws import _BLOCK, _KINDS, LawKind, MaxLaw, _neg_log_cdf_raw, _sample_max
 
 __all__ = [
     "SubKind",
@@ -107,7 +102,7 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
 
     The generator is read grid-major, as by a loop over grid points that
     draws n increments each, but in blocks of whole grid rows of about
-    _EP_BLOCK_VARIATES variates: one _sample_max call with the interval
+    _BLOCK variates: one _sample_max call with the interval
     lengths as k, then a running maximum along the grid that starts
     from the previous block's last column.  Seeded output is
     byte-identical to that loop except where a uniform is exactly 0.0
@@ -117,7 +112,7 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
     times = _check_times(times)
     n = positive_integer(n, "n")
     dt = np.diff(times, prepend=0.0)
-    rows = max(1, _EP_BLOCK_VARIATES // n)
+    rows = max(1, _BLOCK // n)
     out = np.empty((n, times.size))
     for j in range(0, times.size, rows):
         block = _sample_max(spec.base, rng, (min(rows, times.size - j), n), dt[j : j + rows, None])

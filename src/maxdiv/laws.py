@@ -44,6 +44,12 @@ from ._checks import open_unit, positive_finite, positive_integer
 from .exponents import Exponent, Family, _apply, _min_inside
 from .rng import uniform_open
 
+# draws per block of the samplers' loops (_sample_max, sample_ggamma):
+# large enough to amortise the per-call cost over long arrays, small
+# enough (0.5 MB of float64) that a block's scratch and temporaries stay
+# in cache, and a call holds little more than its output
+_BLOCK = 2**16
+
 __all__ = [
     "LawKind",
     "MaxLaw",
@@ -75,7 +81,8 @@ class _Kind:
     draws' own buffer.  For a single draw s_of_w gets out=None and a
     numpy scalar, and computes out of place.  Each form applies the
     operations of its formula in the formula's order, so its results
-    equal the out-of-place formula's bit for bit.
+    equal the out-of-place formula's bit for bit (ggamma-mid's wherever
+    beta*log1p(s) is finite; see _ggamma_form).
     """
 
     neg_log: Callable  # (s, b) -> -log F, with log1p so deep tails do not cancel
@@ -111,12 +118,34 @@ _KINDS = {
         mixing=lambda b, rng, n: rng.standard_gamma(b, n),
     ),
     LawKind.GGAMMA_MID: _Kind(
-        neg_log=lambda s, b: np.log1p(np.multiply(b, np.log1p(s, out=s), out=s), out=s),
-        cdf=lambda s, b: np.divide(1.0, np.add(1.0, np.multiply(b, np.log1p(s, out=s), out=s), out=s), out=s),
+        neg_log=lambda s, b: _ggamma_form(s, b, lambda y: np.log1p(y, out=y), lambda log_y: log_y),
+        cdf=lambda s, b: _ggamma_form(s, b, lambda y: np.divide(1.0, np.add(1.0, y, out=y), out=y), lambda log_y: np.exp(-log_y)),
         s_of_w=lambda w, b, out: np.expm1(np.divide(np.expm1(w, out=out), b, out=out), out=out),
         mixing=lambda b, rng, n: sample_ggamma(b, rng, n),
     ),
 }
+
+
+_LOG1P_MAX = float(np.log1p(np.finfo(float).max))  # the largest finite log1p(s)
+
+
+def _ggamma_form(s, b, form, of_log):
+    """form(y) at y = b*L, L = log1p(s), in the buffer of s.
+
+    Where y overflows while L is finite (b near the float maximum) the
+    value is of_log(log b + log L) instead: that is log1p(y) up to
+    log1p(1/y) < 1e-308, so -log F keeps its deep tail and F its
+    subnormal values, where form(inf) would give inf and 0.  Every entry
+    whose product is finite is form(y), bit for bit.
+    """
+    L = np.log1p(s, out=s)
+    if b * _LOG1P_MAX < np.inf:  # b*L is finite wherever L is
+        return form(np.multiply(b, L, out=s))
+    deep = np.flatnonzero(np.isfinite(L) & (np.multiply(b, L) == np.inf))
+    log_y = np.log(b) + np.log(L[deep])
+    y = form(np.multiply(b, L, out=s))
+    y[deep] = of_log(log_y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -212,15 +241,52 @@ def _neg_log(u):
     return np.negative(np.log(u, out=u), out=u)
 
 
-def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
-    """n draws (one scalar when n is None) of the maximum of k i.i.d.
-    draws from law, i.e. of F**k; k = None stands for k = 1.
+def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | tuple[int, ...] | None, k=None):
+    """n draws (one scalar when n is None; n may be a shape) of the
+    maximum of k i.i.d. draws from law, i.e. of F**k; k = None stands
+    for k = 1.
 
-    k may be any positive real, or an array of n of them drawn before
-    the call; a k that underflowed to 0.0 yields the support bottom,
-    which _quantile_w moves to the smallest point inside it.
+    k may be any positive real, or an array of them that broadcasts to
+    n; a k that underflowed to 0.0 yields the support bottom, which
+    _quantile_w moves to the smallest point inside it.  An array k
+    becomes the output: a float64 k of n's shape, which callers pass
+    only as mixing times they have just drawn, is overwritten with the
+    draws; any other is first copied to float64 in n's shape.
+
+    The uniforms are drawn _BLOCK at a time into one scratch block,
+    turned into draws there and copied into the output, so a call holds
+    the output and one block.  The generator is read as by one
+    uniform_open(rng, n): exact zeros are redrawn after the last block,
+    in uniform_open's order, so seeded draws do not depend on the block
+    size.
     """
-    return _quantile_w(law, _neg_log(uniform_open(rng, n)), k)
+    if n is None:
+        return _quantile_w(law, _neg_log(uniform_open(rng)), k)
+    shape = n if isinstance(n, tuple) else (n,)
+    per_draw = np.ndim(k) > 0
+    if not per_draw:
+        out = np.empty(shape)
+    elif k.dtype == float and k.shape == shape:
+        out = k
+    else:
+        out = np.array(np.broadcast_to(k, shape), dtype=float)
+    flat = out.reshape(-1)
+    block = np.empty(min(flat.size, _BLOCK))
+    zeros, zero_k = [], []
+    for i in range(0, flat.size, _BLOCK):
+        u = rng.random(out=block[: flat.size - i])
+        k_block = flat[i : i + u.size] if per_draw else k
+        if not u.all():
+            at = np.flatnonzero(u == 0.0)
+            zeros.append(at + i)
+            if per_draw:
+                zero_k.append(k_block[at])
+            u[at] = 0.5  # stand-ins, overwritten by the redraws below
+        flat[i : i + u.size] = _quantile_w(law, _neg_log(u), k_block)
+    if zeros:
+        at = np.concatenate(zeros)
+        flat[at] = _quantile_w(law, _neg_log(uniform_open(rng, at.size)), np.concatenate(zero_k) if per_draw else k)
+    return out
 
 
 def _nudge_off_bottom(exponent: Exponent, x):
@@ -246,16 +312,25 @@ def sample_ggamma(beta: float, rng: np.random.Generator, size: int) -> np.ndarra
     Downstream transforms send such draws to the smallest representable
     point of the target support.  For a beta near the float maximum a
     shape beta*E beyond float range is inf, and so is its draw: the IEEE
-    limit, returned without an overflow warning.
+    limit, returned without an overflow warning.  Every shape is drawn
+    before any gamma; the gammas are drawn _BLOCK at a time and copied
+    over their shapes, so a call holds its output and one block.
     """
     positive_finite(beta, "beta")
     n = positive_integer(size, "size")
+    shape = rng.standard_exponential(n)
     with np.errstate(over="ignore"):
-        shape = beta * rng.standard_exponential(n)
-    while np.any(shape == 0.0):
+        shape *= beta
+    while not shape.all():
         zero = shape == 0.0
         shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
-    return rng.standard_gamma(shape, n)
+    # the gammas go through a scratch block, not out= over their own shapes,
+    # whose aliasing numpy does not document
+    block = np.empty(min(n, _BLOCK))
+    for i in range(0, n, _BLOCK):
+        part = shape[i : i + _BLOCK]
+        part[...] = rng.standard_gamma(part, out=block[: part.size])
+    return shape
 
 
 def lt_ggamma(beta: float, lam):

@@ -210,9 +210,10 @@ def _mc_lattice(source, cells) -> list[KSReport]:
         # leaves enough free memory at the top of the heap for the allocator
         # to return it to the system, and the next cell faults it back in.
         # _ks_distance's blocks guard the same faults and the two add up:
-        # verify_all(42) takes ~2,100 minor faults with both, ~8,100 with
-        # either removed and ~14,500 with neither (median 128, ~138 and
-        # 150 ms; glibc defaults, one CPU of a 2-vCPU host): keep both.
+        # verify_all(42) takes ~2,000 minor faults with both, ~9,400 with
+        # the draws freed first, ~4,200 without the blocks and ~12,000 with
+        # neither (median 88, 96-108, 92 and 104-106 ms; glibc defaults, one
+        # CPU of a 2-vCPU host): keep both.
         draws = draw(source.substream(i).generator(), MC_SIZE)
         reports.append(_mc_cell(draws, beta))
     return reports

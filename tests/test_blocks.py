@@ -1,0 +1,232 @@
+"""The samplers' block loop: the same bits as drawing every uniform at
+once, and memory bounded by the output plus one block.
+
+_sample_max draws its uniforms _BLOCK at a time into one scratch block
+and sample_ggamma its gammas likewise; a caller's freshly drawn mixing
+times become the output.  The whole-array sampler they replaced stays
+here as the oracle.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from maxdiv import (
+    ExtremalSpec,
+    LawKind,
+    RandomSource,
+    SubordinatorSpec,
+    base_law,
+    compound_simulate,
+    frechet,
+    g_mid,
+    gamma_mid,
+    geo_max_cdf,
+    ggamma_mid,
+    gumbel,
+    lt_ggamma,
+    n_max_cdf,
+    sample_ggamma,
+    weibull,
+)
+from maxdiv.laws import _BLOCK, _neg_log, _quantile_w, _sample_max
+from maxdiv.rng import uniform_open
+
+# the first block alone, one short of a block, one block, one over, and
+# three blocks with a last block of one draw
+SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1]
+
+
+def whole_array_sample_max(law, rng, n, k=None):
+    """Every uniform of the call at once, then the quantile transform in their buffer."""
+    return _quantile_w(law, _neg_log(uniform_open(rng, n)), k)
+
+
+def whole_array_sample_ggamma(beta, rng, n):
+    with np.errstate(over="ignore"):
+        shape = beta * rng.standard_exponential(n)
+    while np.any(shape == 0.0):
+        zero = shape == 0.0
+        shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
+    return rng.standard_gamma(shape, n)
+
+
+def whole_array_mixing(law, rng, n):
+    """law's latent mixing times as the whole-array samplers drew them."""
+    if law.kind is LawKind.GMID:
+        return rng.standard_exponential(n)
+    if law.kind is LawKind.GAMMA_MID:
+        return rng.standard_gamma(law.beta, n)
+    return whole_array_sample_ggamma(law.beta, rng, n)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def twins(seed):
+    return RandomSource(seed, 4).generator(), RandomSource(seed, 4).generator()
+
+
+LAWS = [ggamma_mid(0.5, frechet(1.7)), gamma_mid(2.0, weibull(1.7)), g_mid(gumbel())]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_block_loop_equals_the_whole_array_sampler(n):
+    for i, law in enumerate(LAWS):
+        counts = np.minimum(RandomSource(i).generator().geometric(0.1, n), 100)
+        # k as none, a scalar, a per-draw int array (ar1_ensemble) and fresh
+        # float64 mixing times, which the block loop turns into its output
+        for k in (None, 2.5, counts, "mixing"):
+            new, old = twins(i)
+            if isinstance(k, str):
+                k_new = RandomSource(i, 9).generator().standard_exponential(n)
+                k_old = k_new.copy()
+            else:
+                k_new = k_old = k
+            got = _sample_max(law, new, n, k_new)
+            assert got.shape == (n,)
+            np.testing.assert_array_equal(bits(got), bits(whole_array_sample_max(law, old, n, k_old)))
+            assert new.random(4).tobytes() == old.random(4).tobytes()  # same stream position
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_public_samplers_equal_the_whole_array_sampler(n):
+    for i, law in enumerate(LAWS):
+        new, old = twins(i)
+        np.testing.assert_array_equal(bits(law.sample_inverse(new, n)), bits(whole_array_sample_max(law, old, n)))
+        new, old = twins(i)
+        expected = whole_array_sample_max(base_law(law.exponent), old, n, whole_array_mixing(law, old, n))
+        np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
+    spec = ExtremalSpec(base_law(frechet(1.7)))
+    for sub, t, law in ((SubordinatorSpec("gamma"), 1.5, gamma_mid(1.5, frechet(1.7))), (SubordinatorSpec("ggamma", 0.5), 1.0, ggamma_mid(0.5, frechet(1.7)))):
+        new, old = twins(n)
+        expected = whole_array_sample_max(spec.base, old, n, whole_array_mixing(law, old, n))
+        np.testing.assert_array_equal(bits(compound_simulate(spec, sub, t, new, n)), bits(expected))
+    new, old = twins(n)
+    np.testing.assert_array_equal(bits(sample_ggamma(0.7, new, n)), bits(whole_array_sample_ggamma(0.7, old, n)))
+
+
+class ZeroedUniforms:
+    """A Generator whose random() returns exact 0.0 at the given indices,
+    counted over every uniform it has drawn; all else passes through."""
+
+    def __init__(self, seed, zero_at):
+        self._rng = RandomSource(seed, 4).generator()
+        self._zero_at = np.array(sorted(zero_at))
+        self.drawn = 0
+        self.zeros = 0
+
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        flat = np.atleast_1d(u).reshape(-1)
+        hit = self._zero_at[(self._zero_at >= self.drawn) & (self._zero_at < self.drawn + flat.size)] - self.drawn
+        flat[hit] = 0.0
+        self.drawn += flat.size
+        self.zeros += hit.size
+        return flat[0] if np.ndim(u) == 0 else u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_exact_zero_uniforms_are_redrawn_as_by_the_whole_array_sampler():
+    n = 3 * _BLOCK + 1
+    # in the first block; on both sides of the first seam; the short last
+    # block; and the first redraw, which is redrawn in turn
+    zero_at = [5, 70, _BLOCK - 1, _BLOCK, 3 * _BLOCK, n, n + 1]
+    counts = np.minimum(RandomSource(3).generator().geometric(0.1, n), 100)
+    for law in LAWS:
+        for k in (None, 2.5, counts, "mixing"):
+            new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
+            if isinstance(k, str):
+                k_new = RandomSource(2).generator().standard_exponential(n)
+                k_old = k_new.copy()
+            else:
+                k_new = k_old = k
+            got = _sample_max(law, new, n, k_new)
+            expected = whole_array_sample_max(law, old, n, k_old)
+            assert new.zeros == old.zeros == len(zero_at)
+            assert new.drawn == old.drawn == n + 7  # five redraws, then two
+            np.testing.assert_array_equal(bits(got), bits(expected))
+        new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
+        expected = whole_array_sample_max(base_law(law.exponent), old, n, whole_array_mixing(law, old, n))
+        np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
+
+
+# -- memory ----------------------------------------------------------------
+
+MEMORY_N = 10**6
+E = frechet(1.7)
+SAMPLERS = {
+    "sample_inverse": lambda rng: gamma_mid(2.0, E).sample_inverse(rng, MEMORY_N),
+    "sample_latent g-mid": lambda rng: g_mid(E).sample_latent(rng, MEMORY_N),
+    "sample_latent gamma-mid": lambda rng: gamma_mid(2.0, E).sample_latent(rng, MEMORY_N),
+    "sample_latent ggamma-mid": lambda rng: ggamma_mid(0.5, E).sample_latent(rng, MEMORY_N),
+    "compound_simulate gamma": lambda rng: compound_simulate(ExtremalSpec(base_law(E)), SubordinatorSpec("gamma"), 1.5, rng, MEMORY_N),
+    "compound_simulate ggamma": lambda rng: compound_simulate(ExtremalSpec(base_law(E)), SubordinatorSpec("ggamma", 0.5), 1.0, rng, MEMORY_N),
+    "sample_ggamma": lambda rng: sample_ggamma(0.5, rng, MEMORY_N),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_a_sampler_holds_its_output_and_one_block(name):
+    # the output, a quarter of it more for small temporaries such as a
+    # block's flags, and two blocks of float64 (the scratch block and one
+    # more for numpy's own buffers); the whole-array samplers held the
+    # mixing times and the uniforms at once, 2.1 times the output
+    draw = SAMPLERS[name]
+    draw(RandomSource(0).generator())
+    tracemalloc.start()
+    try:
+        out = draw(RandomSource(1).generator())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (MEMORY_N,)
+    assert peak <= 1.25 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
+
+
+def test_law_d_f_compositions_work_in_the_copy_of_x():
+    # geo_max_cdf holds the copy and one scratch array, n_max_cdf the copy
+    law = ggamma_mid(0.5, E)
+    x = np.linspace(0.01, 50.0, MEMORY_N)
+    for fn, arrays in ((lambda: geo_max_cdf(law, 0.3, x), 2), (lambda: n_max_cdf(law, 3, x), 1)):
+        tracemalloc.start()
+        try:
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (arrays + 0.25) * out.nbytes
+
+
+# -- ggamma-mid where beta * log1p(psi) overflows ----------------------------
+
+
+def test_ggamma_mid_keeps_its_deep_tail_where_the_shape_product_overflows():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    beta = 1e308
+    law = ggamma_mid(beta, frechet(1.0))
+    x = np.array([1e-308, 1e-300, 1e-10, 0.1, 1.0, 10.0, 1e300])
+    neg_log, cdf = law.neg_log_cdf(x), law.cdf(x)
+    lt = lt_ggamma(beta, frechet(1.0).eval(x))
+    for i, xi in enumerate(x):
+        y = mpmath.mpf(beta) * mpmath.log1p(mpmath.mpf(xi) ** -1)
+        assert neg_log[i] == pytest.approx(float(mpmath.log1p(y)), rel=1e-14), xi
+        assert cdf[i] == pytest.approx(float(1 / (1 + y)), rel=1e-12), xi
+        assert cdf[i] > 0.0
+    np.testing.assert_array_equal(bits(lt), bits(cdf))
+    assert law.neg_log_cdf(1e-308) == pytest.approx(715.76034087, rel=1e-10)
+    assert law.cdf(0.1) == pytest.approx(4.17032391424e-309, rel=1e-10)
+    # where the product is finite the literal formula's bits stay
+    with np.errstate(over="ignore"):
+        log1p_psi = np.log1p(frechet(1.0).eval(x))
+        finite = np.isfinite(beta * log1p_psi)
+        np.testing.assert_array_equal(bits(neg_log[finite]), bits(np.log1p(beta * log1p_psi[finite])))
+        np.testing.assert_array_equal(bits(cdf[finite]), bits(1.0 / (1.0 + beta * log1p_psi[finite])))
+    assert 0 < finite.sum() < x.size
+    # outside the support psi is inf: F = 0 and -log F = inf, as before
+    assert law.cdf(0.0) == 0.0 and law.neg_log_cdf(-1.0) == np.inf

@@ -174,12 +174,26 @@ def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, init, i
 
 # -- the one-sample KS d.f. runs in the sorted copy --------------------------
 
+def reference_ggamma(s, b, cdf):
+    """ggamma-mid's F (cdf) or -log F at s, out of place.  Where
+    y = b*log1p(s) overflows while log1p(s) is finite, -log F = log1p(y)
+    is taken as log(b) + log(log1p(s)) and F as exp of minus that."""
+    log1p_s = np.log1p(s)
+    y = b * log1p_s
+    with np.errstate(divide="ignore"):
+        log_y = np.log(b) + np.log(log1p_s)
+    deep = np.isinf(y) & np.isfinite(log1p_s)
+    if cdf:
+        return np.where(deep, np.exp(-log_y), 1.0 / (1.0 + y))
+    return np.where(deep, log_y, np.log1p(y))
+
+
 # the d.f. as a function of s = psi(x), out of place: every step allocates its result
 _CDF_OF_S = {
     LawKind.BASE: lambda s, b: np.exp(-s),
     LawKind.GMID: lambda s, b: 1.0 / (1.0 + s),
     LawKind.GAMMA_MID: lambda s, b: np.exp(-b * np.log1p(s)),
-    LawKind.GGAMMA_MID: lambda s, b: 1.0 / (1.0 + b * np.log1p(s)),
+    LawKind.GGAMMA_MID: lambda s, b: reference_ggamma(s, b, cdf=True),
 }
 
 
@@ -308,7 +322,7 @@ _NEG_LOG_OF_S = {
     LawKind.BASE: lambda s, b: s,
     LawKind.GMID: lambda s, b: np.log1p(s),
     LawKind.GAMMA_MID: lambda s, b: b * np.log1p(s),
-    LawKind.GGAMMA_MID: lambda s, b: np.log1p(b * np.log1p(s)),
+    LawKind.GGAMMA_MID: lambda s, b: reference_ggamma(s, b, cdf=False),
 }
 
 
@@ -317,7 +331,8 @@ _NEG_LOG_OF_S = {
 def test_lower_tail_overflow_gives_the_ieee_limit_without_a_warning(exponent, beta):
     # psi(x) is near the float maximum here, so n * (-log F), beta * log1p(psi)
     # and 2 * psi overflow; each d.f. is the value of its formula in IEEE
-    # arithmetic, where an overflowed term is inf
+    # arithmetic, where an overflowed term is inf, but ggamma-mid's, which
+    # takes log1p(beta * log1p(psi)) from logs where the product overflows
     x = {Family.FRECHET: 1e-308, Family.WEIBULL: -1e308, Family.GUMBEL: -709.0}[exponent.family]
     s = reference_psi(exponent, np.array([x]))
     with warnings.catch_warnings():

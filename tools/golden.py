@@ -57,6 +57,13 @@ MATRIX = (
     # more points than one 2**16-variate block: the running max folds the first
     # block's last column into the second and scans 16 passes in the first
     "ep --path --times 0.5:3:70000 --seed 3",
+    # more draws than three 2**16-draw blocks of the samplers' loop, on the
+    # routes that draw a mixing time per draw before the uniforms: the draws
+    # cross three block seams and end in a short last block
+    "sample --kind gamma-mid --beta 2 --n 200003 --seed 13 --route latent",
+    "sample --kind ggamma-mid --beta 0.5 --n 200003 --seed 13 --route latent",
+    "ep --compound gamma --base gamma-mid --beta 2 --t 1.5 --n 200003 --seed 13",
+    "ep --compound ggamma --sub-beta 0.5 --n 200003 --seed 13",
     "ar1 --p 0.3 --beta 2 --alpha 1.7 --steps 5000 --seed 5",
     "ar1 --p 0.5 --beta 1 --alpha 1.7 --check --seed 5",
     # ar1 --check hashes a KS statistic, which keeps its value under any change
