@@ -14,20 +14,21 @@ p*beta.  Innovations with shape beta/p do NOT give a beta-stationary
 chain; that variant is kept reachable (innovation_beta override) as a
 negative control for the verification harness.
 
-Neither sampler steps the recursion one value at a time.  Between two
-resets the chain is the running maximum of the innovations since the
-last reset, X_0 heading the stretch before the first one, so a whole
-chain is a segmented running maximum (ar1_simulate).  For a single
-lag L, look back from step L: each step was a reset with probability
-p, independently, so the number of steps back to the last reset is
-G ~ geometric(p) on {1, 2, ...}.  If G <= L, X_L is the maximum of
-the G innovations since that reset; if G > L, no reset happened and
-X_L is the maximum of X_0 and all L innovations.  Either way X_L is
-the maximum of k = min(G, L) innovations, joined by X_0 when G > L,
-and the maximum of k i.i.d. innovations is one quantile of F_eps**k
-(ar1_ensemble).  X_0's uniforms are drawn first, for every chain, but
-turned into marginal draws only where G > L: at p = 0.2 and L = 100
-that is ~2e-10 of the chains.
+Both samplers draw X_0 from the stationary marginal, so every X_n
+follows it.  Neither steps the recursion one value at a time.  Between
+two resets the chain is the running maximum of the innovations since
+the last reset, X_0 heading the stretch before the first one, so a
+whole chain is a segmented running maximum (ar1_simulate).  For a
+single lag L, look back from step L: each step was a reset with
+probability p, independently, so the number of steps back to the last
+reset is G ~ geometric(p) on {1, 2, ...}.  If G <= L, X_L is the
+maximum of the G innovations since that reset; if G > L, no reset
+happened and X_L is the maximum of X_0 and all L innovations.  Either
+way X_L is the maximum of k = min(G, L) innovations, joined by X_0
+when G > L, and the maximum of k i.i.d. innovations is one quantile of
+F_eps**k (ar1_ensemble).  X_0's uniforms are drawn first, for every
+chain, but turned into marginal draws only where G > L: at p = 0.2 and
+L = 100 that is ~2e-10 of the chains.
 """
 
 from __future__ import annotations
@@ -98,24 +99,20 @@ def ar1_simulate(
     spec: Ar1Spec,
     n_steps: int,
     rng: np.random.Generator,
-    init: float | None = None,
+    *,
     innovation_beta: float | None = None,
 ) -> np.ndarray:
     """A single chain of n_steps values, X_0 included.
 
-    init = None draws X_0 from the stationary marginal; a number fixes
-    X_0.  Branch uniforms for the whole chain are drawn first (u < p is
-    a reset), then X_0, then the innovations, so equal-seed runs
-    reproduce byte for byte.  The chain is the running-max scan of
-    extremal paths, restarted at each reset.
+    X_0 follows the stationary marginal.  Branch uniforms for the whole
+    chain are drawn first (u < p is a reset), then X_0, then the
+    innovations, so equal-seed runs reproduce byte for byte.  The chain
+    is the running-max scan of extremal paths, restarted at each reset.
     """
     n_steps = positive_integer(n_steps, "n_steps")
-    u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
-    if init is None:
-        x0 = float(_sample_max(spec.marginal_law(), rng, None))
-    else:
-        x0 = float(init)
-    eps = _innovations(spec, rng, n_steps - 1, innovation_beta) if n_steps > 1 else np.empty(0)
+    u = rng.random(n_steps - 1)
+    x0 = float(_sample_max(spec.marginal_law(), rng, None))
+    eps = _innovations(spec, rng, n_steps - 1, innovation_beta)
     steps = np.arange(n_steps)
     last_reset = np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))
     return _running_max(np.concatenate(([x0], eps)), since=steps - last_reset)
@@ -126,30 +123,30 @@ def ar1_ensemble(
     lag: int,
     rng: np.random.Generator,
     n_chains: int,
-    init: float | None = None,
+    *,
     innovation_beta: float | None = None,
 ) -> np.ndarray:
     """X_lag across n_chains independent chains, drawn from its exact law.
 
-    The stream holds, in order: the uniforms of X_0 (only when init is
-    None, and X_0 then follows the stationary marginal; a number fixes
-    X_0), the look-back G ~ geometric(p) to the last reset, and one draw
-    of the maximum of min(G, lag) innovations, which X_0 joins where
-    G > lag: at most three variates per chain, whatever the lag.  X_0 is
-    read only where G > lag, so its uniforms are turned into marginal
-    draws only there; every value is the one that transforming all of
-    them would give.
+    The stream holds, in order: the uniforms of X_0, which follows the
+    stationary marginal, the look-back G ~ geometric(p) to the last
+    reset, and one draw of the maximum of min(G, lag) innovations, which
+    X_0 joins where G > lag: at most three variates per chain, whatever
+    the lag.  X_0 is read only where G > lag, so its uniforms are turned
+    into marginal draws only there; every value is the one that
+    transforming all of them would give.  G is an int64, so every lag
+    from 2**63 - 1 up draws the same values.
     """
-    # index() rejects a float lag, which would become a fractional innovation count
-    if operator.index(lag) < 0:
+    # index() rejects a float lag (a fractional innovation count); numpy, an int beyond int64
+    lag = min(operator.index(lag), np.iinfo(np.int64).max)
+    if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     n_chains = positive_integer(n_chains, "n_chains")
-    u0 = uniform_open(rng, n_chains) if init is None else None
+    u0 = uniform_open(rng, n_chains)
     if lag == 0:
-        return _marginal(spec, u0) if init is None else np.full(n_chains, float(init))
+        return _marginal(spec, u0)
     back = rng.geometric(spec.p, n_chains)
     no_reset = np.flatnonzero(back > lag)
-    x = _innovations(spec, rng, n_chains, innovation_beta, k=np.minimum(back, lag, out=back))
-    x0 = _marginal(spec, u0[no_reset]) if init is None else float(init)
-    x[no_reset] = np.maximum(x[no_reset], x0)
+    x = _innovations(spec, rng, n_chains, innovation_beta, k=np.minimum(back, lag, dtype=float))
+    x[no_reset] = np.maximum(x[no_reset], _marginal(spec, u0[no_reset]))
     return x

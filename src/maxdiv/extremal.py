@@ -102,12 +102,13 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
 
     The generator is read grid-major, as by a loop over grid points that
     draws n increments each, but in blocks of whole grid rows of about
-    _BLOCK variates: one _sample_max call with the interval
-    lengths as k, then a running maximum along the grid that starts
-    from the previous block's last column.  Seeded output is
-    byte-identical to that loop except where a uniform is exactly 0.0
-    (probability 2**-53 per variate): uniform_open redraws it after the
-    whole block, the loop after its own grid point.
+    _BLOCK variates: one _sample_max call whose k holds the block's
+    interval lengths, one per increment (for one path, the rows of dt
+    itself), then a running maximum along the grid that starts from the
+    previous block's last column.  Seeded output is byte-identical to
+    that loop except where a uniform is exactly 0.0 (probability 2**-53
+    per variate): uniform_open redraws it after the whole block, the
+    loop after its own grid point.
     """
     times = _check_times(times)
     n = positive_integer(n, "n")
@@ -115,7 +116,9 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
     rows = max(1, _BLOCK // n)
     out = np.empty((n, times.size))
     for j in range(0, times.size, rows):
-        block = _sample_max(spec.base, rng, (min(rows, times.size - j), n), dt[j : j + rows, None])
+        # one k per increment, overwritten with the draws; dt is this call's own
+        k = dt[j : j + rows] if n == 1 else np.repeat(dt[j : j + rows], n)
+        block = _sample_max(spec.base, rng, k.size, k).reshape(-1, n)
         if j:
             np.maximum(out[:, j - 1], block[0], out=block[0])
         out[:, j : j + rows] = _running_max(block).T
@@ -130,13 +133,17 @@ def _running_max(x: np.ndarray, since: np.ndarray | None = None) -> np.ndarray:
     with step s, x[i] is the max of the last 2s values up to i.
     np.maximum.accumulate(axis=0) runs its inner loop once per column,
     ~7 ns per element, which for wide blocks of few rows costs more than
-    drawing them.  With since, a pass takes x[i - s] into x[i] where
+    drawing them.  With since, a pass copies x[i - s] into x[i] where
     since[i] >= s, unless x[i] > x[i - s], so ties keep the earlier value
-    (max(-0.0, 0.0) stays -0.0) and a NaN heading a segment holds it to
-    the end, as a step-by-step max(previous, new) does.  Without since a
-    pass is np.maximum, whose zero on a +-0 tie is left to the platform;
-    that is exact for quantile draws, which are never NaN and whose only
-    zero is -0.0.
+    as a step-by-step max(previous, new) does.  Without since a pass is
+    np.maximum, whose zero on a +-0 tie is left to the platform; that is
+    exact for quantile draws, which are never NaN and whose only zero is
+    -0.0.
+
+    The two rules stay apart because each is the faster one for its
+    caller: the masked copy made the scans of paths ~10 times slower,
+    and np.maximum(..., where=) made ar1_simulate 25-40% slower at
+    p >= 0.2 (README, "Numerical notes").
     """
     step, top = 1, x.shape[0] - 1 if since is None else since.max(initial=0)
     while step <= top:

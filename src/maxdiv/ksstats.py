@@ -100,7 +100,8 @@ def _ks_distance(f: np.ndarray) -> float:
 
 
 def ks_two_sample(a, b) -> KSReport:
-    """Sup distance between two empirical d.f.s over the pooled points."""
+    """Sup distance between two empirical d.f.s over the pooled points;
+    NaN, so the test fails, if either sample holds a NaN."""
     a, b = _sorted_sample(a), _sorted_sample(b)
     n, m = a.size, b.size
     if n < 1 or m < 1:
@@ -108,7 +109,8 @@ def ks_two_sample(a, b) -> KSReport:
     pooled = np.concatenate([a, b])
     fa = np.searchsorted(a, pooled, side="right") / n
     fb = np.searchsorted(b, pooled, side="right") / m
-    stat = float(np.max(np.abs(fa - fb)))
+    # the sort puts NaN last, where searchsorted counts it as a point
+    stat = float("nan") if np.isnan(a[-1]) or np.isnan(b[-1]) else float(np.max(np.abs(fa - fb)))
     crit = critical_two_sample(n, m)
     return KSReport(stat, n, m, crit, stat < crit)
 

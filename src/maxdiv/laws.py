@@ -241,17 +241,15 @@ def _neg_log(u):
     return np.negative(np.log(u, out=u), out=u)
 
 
-def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | tuple[int, ...] | None, k=None):
-    """n draws (one scalar when n is None; n may be a shape) of the
-    maximum of k i.i.d. draws from law, i.e. of F**k; k = None stands
-    for k = 1.
+def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
+    """n draws (one numpy scalar when n is None) of the maximum of k
+    i.i.d. draws from law, i.e. of F**k; k = None stands for k = 1.
 
-    k may be any positive real, or an array of them that broadcasts to
-    n; a k that underflowed to 0.0 yields the support bottom, which
-    _quantile_w moves to the smallest point inside it.  An array k
-    becomes the output: a float64 k of n's shape, which callers pass
-    only as mixing times they have just drawn, is overwritten with the
-    draws; any other is first copied to float64 in n's shape.
+    k is a positive real, or a float64 array of n of them that the
+    caller has just drawn (mixing times, interval lengths, look-back
+    counts): that array is overwritten with the draws and returned.  A
+    k that underflowed to 0.0 yields the support bottom, which
+    _quantile_w moves to the smallest point inside it.
 
     The uniforms are drawn _BLOCK at a time into one scratch block,
     turned into draws there and copied into the output, so a call holds
@@ -259,33 +257,32 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | tuple[int, ...] 
     uniform_open(rng, n): exact zeros are redrawn after the last block,
     in uniform_open's order, so seeded draws do not depend on the block
     size.
+
+    The single draw stays in numpy scalars, not a one-element array:
+    ar1_simulate's X_0 is one, and a scalar's ** (libm pow) differs in
+    the last bit from an array's (numpy's own kernels) for ~1.8% of
+    draws, while the transform's other ufuncs agree (README, "Numerical
+    notes").
     """
     if n is None:
         return _quantile_w(law, _neg_log(uniform_open(rng)), k)
-    shape = n if isinstance(n, tuple) else (n,)
     per_draw = np.ndim(k) > 0
-    if not per_draw:
-        out = np.empty(shape)
-    elif k.dtype == float and k.shape == shape:
-        out = k
-    else:
-        out = np.array(np.broadcast_to(k, shape), dtype=float)
-    flat = out.reshape(-1)
-    block = np.empty(min(flat.size, _BLOCK))
+    out = k if per_draw else np.empty(n)
+    block = np.empty(min(n, _BLOCK))
     zeros, zero_k = [], []
-    for i in range(0, flat.size, _BLOCK):
-        u = rng.random(out=block[: flat.size - i])
-        k_block = flat[i : i + u.size] if per_draw else k
+    for i in range(0, n, _BLOCK):
+        u = rng.random(out=block[: n - i])
+        k_block = out[i : i + u.size] if per_draw else k
         if not u.all():
             at = np.flatnonzero(u == 0.0)
             zeros.append(at + i)
             if per_draw:
                 zero_k.append(k_block[at])
             u[at] = 0.5  # stand-ins, overwritten by the redraws below
-        flat[i : i + u.size] = _quantile_w(law, _neg_log(u), k_block)
+        out[i : i + u.size] = _quantile_w(law, _neg_log(u), k_block)
     if zeros:
         at = np.concatenate(zeros)
-        flat[at] = _quantile_w(law, _neg_log(uniform_open(rng, at.size)), np.concatenate(zero_k) if per_draw else k)
+        out[at] = _quantile_w(law, _neg_log(uniform_open(rng, at.size)), np.concatenate(zero_k) if per_draw else k)
     return out
 
 

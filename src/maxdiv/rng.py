@@ -53,23 +53,19 @@ def _index(value) -> int:
     return index
 
 
-def uniform_open(rng: np.random.Generator, size: int | tuple[int, ...] | None = None):
+def uniform_open(rng: np.random.Generator, size: int | None = None):
     """Uniform draws restricted to the open interval (0, 1).
 
     numpy's random() covers [0, 1); exact zeros are redrawn because the
-    quantile transforms used downstream are undefined at u = 0.  A size,
-    and every entry of a shape, is a whole number >= 1.
+    quantile transforms used downstream are undefined at u = 0.  size
+    is a whole number >= 1, giving a 1-d array; None gives one float.
     """
     if size is None:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
         return u
-    if isinstance(size, tuple):
-        size = tuple(positive_integer(m, "size") for m in size)
-    else:
-        size = positive_integer(size, "size")
-    u = rng.random(size)
+    u = rng.random(positive_integer(size, "size"))
     zero = u == 0.0
     while np.any(zero):
         u[zero] = rng.random(int(zero.sum()))

@@ -40,10 +40,10 @@ def _innovation_law(spec, innovation_beta):
     return ggamma_mid(beta, spec.exponent)
 
 
-def simulate_by_steps(spec, n_steps, rng, init=None, innovation_beta=None):
+def simulate_by_steps(spec, n_steps, rng, innovation_beta=None):
     """ar1_simulate's draws in its order, then a Python loop of ar1_step."""
     u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
-    x0 = float(_sample_max(spec.marginal_law(), rng, None)) if init is None else float(init)
+    x0 = float(_sample_max(spec.marginal_law(), rng, None))
     eps = _sample_max(_innovation_law(spec, innovation_beta), rng, n_steps - 1) if n_steps > 1 else np.empty(0)
     out = np.empty(n_steps)
     out[0] = x0
@@ -52,9 +52,9 @@ def simulate_by_steps(spec, n_steps, rng, init=None, innovation_beta=None):
     return out
 
 
-def ensemble_lockstep(spec, lag, rng, n_chains, init=None, innovation_beta=None):
+def ensemble_lockstep(spec, lag, rng, n_chains, innovation_beta=None):
     """X_lag of n_chains chains advanced together, one transition per lag."""
-    x = _sample_max(spec.marginal_law(), rng, n_chains) if init is None else np.full(n_chains, float(init))
+    x = _sample_max(spec.marginal_law(), rng, n_chains)
     innovation = _innovation_law(spec, innovation_beta)
     for _ in range(lag):
         u = rng.random(n_chains)
@@ -139,17 +139,16 @@ def test_step_semantics():
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 5000])
-@pytest.mark.parametrize("init", [None, 7.5, 0.0, -0.0, np.inf, -np.inf, np.nan])
-def test_simulate_is_byte_identical_to_the_step_loop(n_steps, init):
+@pytest.mark.parametrize("innovation_beta", [None, 3.0])
+def test_simulate_is_byte_identical_to_the_step_loop(n_steps, innovation_beta):
     # at p = 1e-9 the chain is one segment, so the running max takes every
     # doubling pass up to the chain length
     for exponent in (E1, weibull(2.0), gumbel()):
         for p in (1e-9, 0.01, 0.5, 0.9):
-            for innovation_beta in (None, 3.0):
-                spec = Ar1Spec(p, 1.5, exponent)
-                fast = ar1_simulate(spec, n_steps, RandomSource(n_steps, 47).generator(), init, innovation_beta)
-                slow = simulate_by_steps(spec, n_steps, RandomSource(n_steps, 47).generator(), init, innovation_beta)
-                assert fast.tobytes() == slow.tobytes(), (exponent.family, p, innovation_beta)
+            spec = Ar1Spec(p, 1.5, exponent)
+            fast = ar1_simulate(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta=innovation_beta)
+            slow = simulate_by_steps(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta)
+            assert fast.tobytes() == slow.tobytes(), (exponent.family, p)
 
 
 def test_segmented_running_max_breaks_ties_like_python_max():
@@ -168,9 +167,9 @@ def test_segmented_running_max_breaks_ties_like_python_max():
     assert got.tobytes() == np.array(expected).tobytes()
 
 
-# ar1_ensemble against the lockstep oracle: 3 p x 2 starts x 3 lags = 18
-# two-sample KS comparisons, each held to a 1%/18 level so the family
-# of them keeps a 1% false-alarm rate (Bonferroni)
+# ar1_ensemble against the lockstep oracle: 3 p x 2 innovation shapes x
+# 3 lags = 18 two-sample KS comparisons, each held to a 1%/18 level so the
+# family of them keeps a 1% false-alarm rate (Bonferroni)
 ENSEMBLE_PS = (0.01, 0.5, 0.9)
 ENSEMBLE_LAGS = (0, 1, 100)
 ENSEMBLE_TESTS = len(ENSEMBLE_PS) * 2 * len(ENSEMBLE_LAGS)
@@ -178,18 +177,18 @@ ENSEMBLE_C = float(np.sqrt(-0.5 * np.log(0.01 / ENSEMBLE_TESTS / 2.0)))
 
 
 @pytest.mark.parametrize("p", ENSEMBLE_PS)
-@pytest.mark.parametrize("fixed_start", [False, True])
-def test_ensemble_matches_the_lockstep_oracle(p, fixed_start):
+@pytest.mark.parametrize("control", [False, True])
+def test_ensemble_matches_the_lockstep_oracle(p, control):
     # at p = 0.01 and lag 100 about 37% of chains never reset, so the
-    # max with X_0 is exercised; a fixed start at the marginal median
-    # makes that branch visible in the law
+    # max with X_0 is exercised; the control's beta/p innovations make
+    # the chain non-stationary, so X_lag's law depends on that branch
     spec = Ar1Spec(p, 1.5, E1)
-    init = float(spec.marginal_law().quantile(0.5)) if fixed_start else None
+    innovation_beta = spec.marginal_beta / p if control else None
     n = 40_000
     source = RandomSource(23, 49)
     for j, lag in enumerate(ENSEMBLE_LAGS):
-        fast = ar1_ensemble(spec, lag, source.substream(2 * j).generator(), n, init)
-        slow = ensemble_lockstep(spec, lag, source.substream(2 * j + 1).generator(), n, init)
+        fast = ar1_ensemble(spec, lag, source.substream(2 * j).generator(), n, innovation_beta=innovation_beta)
+        slow = ensemble_lockstep(spec, lag, source.substream(2 * j + 1).generator(), n, innovation_beta)
         report = ks_two_sample(fast, slow)
         band = ENSEMBLE_C / 1.628 * critical_two_sample(n, n)
         assert report.statistic < band, (lag, report.statistic, band)
@@ -197,7 +196,6 @@ def test_ensemble_matches_the_lockstep_oracle(p, fixed_start):
 
 def test_ensemble_lag_zero_is_the_start():
     spec = Ar1Spec(0.5, 1.0, E1)
-    np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(0, 50).generator(), 10, init=2.5), 2.5)
     start = _sample_max(spec.marginal_law(), RandomSource(1, 50).generator(), 10)
     np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(1, 50).generator(), 10), start)
 
@@ -211,12 +209,6 @@ def test_simulate_shape_and_determinism():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all(a > 0.0)
-
-
-def test_simulate_honours_explicit_start():
-    spec = Ar1Spec(0.5, 1.0, E1)
-    path = ar1_simulate(spec, 10, RandomSource(19, 41).generator(), init=7.5)
-    assert path[0] == 7.5
 
 
 def test_chain_decrease_rate_matches_closed_form():
@@ -277,3 +269,16 @@ def test_ensemble_validation():
         ar1_ensemble(spec, 10, rng, 0)
     with pytest.raises(ValueError):
         ar1_simulate(spec, 0, rng)
+    # innovation_beta is keyword-only: a fourth positional number is rejected
+    with pytest.raises(TypeError):
+        ar1_simulate(spec, 10, rng, 2.0)
+    with pytest.raises(TypeError):
+        ar1_ensemble(spec, 10, rng, 100, 2.0)
+
+
+def test_lags_beyond_the_int64_range_draw_as_its_largest_lag():
+    # the look-back G is an int64, so it exceeds no lag from 2**63 - 1 up
+    spec = Ar1Spec(0.3, 0.5, frechet(1.7))
+    largest = ar1_ensemble(spec, 2**63 - 1, RandomSource(0, 53).generator(), 1000)
+    for lag in (2**63, 2**70):
+        assert ar1_ensemble(spec, lag, RandomSource(0, 53).generator(), 1000).tobytes() == largest.tobytes()

@@ -19,6 +19,7 @@ from maxdiv import (
     SubordinatorSpec,
     base_law,
     compound_simulate,
+    ep_simulate_ensemble,
     frechet,
     g_mid,
     gamma_mid,
@@ -75,10 +76,9 @@ LAWS = [ggamma_mid(0.5, frechet(1.7)), gamma_mid(2.0, weibull(1.7)), g_mid(gumbe
 @pytest.mark.parametrize("n", SIZES)
 def test_block_loop_equals_the_whole_array_sampler(n):
     for i, law in enumerate(LAWS):
-        counts = np.minimum(RandomSource(i).generator().geometric(0.1, n), 100)
-        # k as none, a scalar, a per-draw int array (ar1_ensemble) and fresh
-        # float64 mixing times, which the block loop turns into its output
-        for k in (None, 2.5, counts, "mixing"):
+        # k as none, a scalar and fresh float64 mixing times, which the
+        # block loop turns into its output
+        for k in (None, 2.5, "mixing"):
             new, old = twins(i)
             if isinstance(k, str):
                 k_new = RandomSource(i, 9).generator().standard_exponential(n)
@@ -87,6 +87,7 @@ def test_block_loop_equals_the_whole_array_sampler(n):
                 k_new = k_old = k
             got = _sample_max(law, new, n, k_new)
             assert got.shape == (n,)
+            assert (got is k_new) == isinstance(k, str)
             np.testing.assert_array_equal(bits(got), bits(whole_array_sample_max(law, old, n, k_old)))
             assert new.random(4).tobytes() == old.random(4).tobytes()  # same stream position
 
@@ -136,9 +137,8 @@ def test_exact_zero_uniforms_are_redrawn_as_by_the_whole_array_sampler():
     # in the first block; on both sides of the first seam; the short last
     # block; and the first redraw, which is redrawn in turn
     zero_at = [5, 70, _BLOCK - 1, _BLOCK, 3 * _BLOCK, n, n + 1]
-    counts = np.minimum(RandomSource(3).generator().geometric(0.1, n), 100)
     for law in LAWS:
-        for k in (None, 2.5, counts, "mixing"):
+        for k in (None, 2.5, "mixing"):
             new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
             if isinstance(k, str):
                 k_new = RandomSource(2).generator().standard_exponential(n)
@@ -186,6 +186,21 @@ def test_a_sampler_holds_its_output_and_one_block(name):
         tracemalloc.stop()
     assert out.shape == (MEMORY_N,)
     assert peak <= 1.25 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
+
+
+def test_a_path_draws_into_its_own_interval_lengths():
+    # the output and the interval lengths, plus blocks for the scratch and
+    # the running max; a copy of each block's lengths adds two more blocks
+    times = np.linspace(1e-3, 1e3, MEMORY_N)
+    spec = ExtremalSpec(gamma_mid(2.0, E))
+    ep_simulate_ensemble(spec, times, RandomSource(0).generator(), 1)
+    tracemalloc.start()
+    try:
+        out = ep_simulate_ensemble(spec, times, RandomSource(1).generator(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
 
 
 def test_law_d_f_compositions_work_in_the_copy_of_x():

@@ -24,6 +24,7 @@ from maxdiv import (
     cdf_validity_gap,
     compound_marginal_cdf,
     ep_marginal_cdf,
+    ep_simulate_ensemble,
     expr_from_law,
     frechet,
     g_mid,
@@ -85,14 +86,22 @@ def reference_sample_max(law, rng, n, k=None):
     return np.where(collapsed, _min_inside(law.exponent), x) if np.any(collapsed) else x
 
 
-def reference_ar1_ensemble(spec, lag, rng, n_chains, init=None, innovation_beta=None):
-    x0 = reference_sample_max(spec.marginal_law(), rng, n_chains) if init is None else np.full(n_chains, float(init))
+def reference_ar1_ensemble(spec, lag, rng, n_chains, innovation_beta=None):
+    x0 = reference_sample_max(spec.marginal_law(), rng, n_chains)
     if lag == 0:
         return x0
     back = rng.geometric(spec.p, n_chains)
     beta = spec.innovation_beta if innovation_beta is None else innovation_beta
+    # the counts stay int64 here, where ar1_ensemble passes them as float64
     x = reference_sample_max(ggamma_mid(beta, spec.exponent), rng, n_chains, np.minimum(back, lag))
     return np.where(back > lag, np.maximum(x, x0), x)
+
+
+def reference_ep_ensemble(spec, times, rng, n):
+    """Every increment at once, grid-major, then a running max along the grid."""
+    dt = np.diff(times, prepend=0.0)
+    jumps = reference_sample_max(spec.base, rng, dt.size * n, np.repeat(dt, n)).reshape(dt.size, n)
+    return np.maximum.accumulate(jumps, axis=0).T
 
 
 def bits(a):
@@ -138,22 +147,38 @@ def test_single_draws_equal_the_out_of_place_reference(alpha):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.7])
 def test_maxima_of_k_draws_equal_the_out_of_place_reference(alpha):
-    counts = np.random.default_rng(5).geometric(0.1, 4000)
-    dt = np.array([0.5, 1e-300, 3.0, 0.25])[:, None]
     for i, law in enumerate(laws(alpha)):
-        # k as a scalar, a per-draw int array (ar1_ensemble) and a (rows, 1) column (ep_simulate_ensemble)
-        for n, k in ((4000, 2.5), (4000, np.minimum(counts, 100)), ((4, 1000), dt)):
-            new, ref = rngs(i)
-            np.testing.assert_array_equal(bits(_sample_max(law, new, n, k)), bits(reference_sample_max(law, ref, n, k)))
+        new, ref = rngs(i)
+        np.testing.assert_array_equal(bits(_sample_max(law, new, 4000, 2.5)), bits(reference_sample_max(law, ref, 4000, 2.5)))
+        # fresh float64 k, one per draw, is overwritten with the draws
+        k = np.random.default_rng(5).standard_exponential(4000)
+        new, ref = rngs(i)
+        expected = reference_sample_max(law, ref, 4000, k.copy())
+        got = _sample_max(law, new, 4000, k)
+        assert got is k
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.7])
-@pytest.mark.parametrize("lag, init, innovation_beta", [(0, None, None), (100, None, None), (30, 2.0, None), (100, None, 4.0)])
-def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, init, innovation_beta):
+def test_ep_simulate_ensemble_equals_the_out_of_place_reference(alpha):
+    # one k per increment, grid-major; a first interval of 1e-300 takes the
+    # quantile transform to the edge of float range.  One path draws into
+    # its own interval lengths, here over two blocks
+    grids = [(np.cumsum([1e-300, 0.5, 3.0, 0.25]), 1000), (np.linspace(0.5, 3.0, 2**16 + 5), 1)]
+    for i, law in enumerate(laws(alpha)):
+        spec = ExtremalSpec(law)
+        for times, n in grids:
+            new, ref = rngs(i)
+            np.testing.assert_array_equal(bits(ep_simulate_ensemble(spec, times, new, n)), bits(reference_ep_ensemble(spec, times, ref, n)))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.7])
+@pytest.mark.parametrize("lag, innovation_beta", [(0, None), (30, None), (100, None), (100, 4.0)])
+def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, innovation_beta):
     spec = Ar1Spec(0.3, 0.5, frechet(alpha))
     new, ref = rngs(lag)
-    got = ar1_ensemble(spec, lag, new, 4000, init=init, innovation_beta=innovation_beta)
-    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, init, innovation_beta)))
+    got = ar1_ensemble(spec, lag, new, 4000, innovation_beta=innovation_beta)
+    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, innovation_beta)))
 
 
 # At p = 0.3 and lag >= 30, X_0 is read in ~2e-5 of the chains, so in none of
@@ -161,15 +186,12 @@ def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, init, innova
 # (p = 0.05, lag 30), so the draws of X_0 and their join are compared too.
 @pytest.mark.parametrize("p, lag", [(0.01, 100), (0.05, 30)])
 @pytest.mark.parametrize("exponent", [frechet(1.7), weibull(1.7), gumbel()], ids=lambda e: e.family.value)
-@pytest.mark.parametrize("init, innovation_beta", [(None, None), (2.0, None), (np.nan, None), (None, 4.0)])
-def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, init, innovation_beta):
+@pytest.mark.parametrize("innovation_beta", [None, 4.0])
+def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, innovation_beta):
     spec = Ar1Spec(p, 0.5, exponent)
     new, ref = rngs(lag)
-    got = ar1_ensemble(spec, lag, new, 4000, init=init, innovation_beta=innovation_beta)
-    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, init, innovation_beta)))
-    if init is not None and np.isnan(init):
-        # a NaN X_0 marks the chains that read it
-        assert 0.15 < np.mean(np.isnan(got)) < 0.45
+    got = ar1_ensemble(spec, lag, new, 4000, innovation_beta=innovation_beta)
+    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, innovation_beta)))
 
 
 # -- the one-sample KS d.f. runs in the sorted copy --------------------------

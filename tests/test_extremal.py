@@ -281,6 +281,8 @@ BLOCK_GRIDS = {
     "one-grid-point-per-block": (np.linspace(0.1, 3.0, 10), 2**16),
     "several-blocks-and-a-partial-one": (np.linspace(0.5, 3.0, 1000), 300),
     "extreme-steps": ([1e-300, 1.0, 1e300], 3),
+    # one grid row per block, whose draws span two of the samplers' blocks
+    "more-paths-than-one-block": ([0.5, 1.0, 2.0], 2**16 + 3),
 }
 
 

@@ -139,6 +139,18 @@ def test_two_sample_identical_and_disjoint():
     assert report.m == 100
 
 
+def test_two_sample_fails_a_sample_that_holds_nan():
+    # as ks_one_sample does: a NaN draw is no point of any d.f.
+    for a, b in (
+        (np.full(5, np.nan), np.full(5, np.nan)),
+        (np.append(np.arange(999.0), np.nan), np.arange(1000.0)),
+        (np.arange(1000.0), np.append(np.arange(999.0), np.nan)),
+    ):
+        report = ks_two_sample(a, b)
+        assert np.isnan(report.statistic)
+        assert not report.passed
+
+
 def test_two_sample_agrees_on_same_law_draws():
     law = g_mid(E1)
     rng = RandomSource(31, 52).generator()

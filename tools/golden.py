@@ -12,7 +12,7 @@ that no CLI command prints.  A run that exits non-zero is marked
 
 The optional argument is the root of the checkout whose src/ is run
 (default: the checkout holding this script).  The matrix takes about
-sixteen seconds.
+twenty seconds.
 """
 
 from __future__ import annotations
@@ -116,9 +116,20 @@ import sys
 import maxdiv
 for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
     spec = maxdiv.Ar1Spec(0.01, 0.5, exponent)
-    for init in (None, 2.0):
-        draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000, init=init)
-        sys.stdout.buffer.write(draws.tobytes())
+    draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000)
+    sys.stdout.buffer.write(draws.tobytes())
+""",
+    # the CLI writes one path; these take many grid rows per block, and one
+    # row per block that spans two of the samplers' 2**16-draw blocks
+    "ep_simulate_ensemble at 300 paths x 1,000 times and 70,000 paths x 3 times": """
+import sys
+import numpy as np
+import maxdiv
+for law in (maxdiv.ggamma_mid(0.5, maxdiv.frechet(1.7)), maxdiv.gamma_mid(2.0, maxdiv.weibull(1.7))):
+    spec = maxdiv.ExtremalSpec(law)
+    for times, n in ((np.linspace(0.5, 3.0, 1000), 300), ([0.5, 1.0, 2.0], 70000)):
+        paths = maxdiv.ep_simulate_ensemble(spec, times, maxdiv.RandomSource(9).generator(), n)
+        sys.stdout.buffer.write(paths.tobytes())
 """,
     # one d.f. given as a law, as expressions and as a plain callable
     "geo_max_cdf, n_max_cdf and cdf_validity_gap over every d.f. argument form": """
