@@ -172,8 +172,14 @@ def test_ep_simulate_ensemble_equals_the_out_of_place_reference(alpha):
             np.testing.assert_array_equal(bits(ep_simulate_ensemble(spec, times, new, n)), bits(reference_ep_ensemble(spec, times, ref, n)))
 
 
+# The ids name the start X_0 before the innovation beta: None, drawn from
+# the stationary marginal, in every case.
 @pytest.mark.parametrize("alpha", [1.0, 1.7])
-@pytest.mark.parametrize("lag, innovation_beta", [(0, None), (30, None), (100, None), (100, 4.0)])
+@pytest.mark.parametrize(
+    "lag, innovation_beta",
+    [(0, None), (30, None), (100, None), (100, 4.0)],
+    ids=["0-None-None", "30-None-None", "100-None-None", "100-None-4.0"],
+)
 def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, innovation_beta):
     spec = Ar1Spec(0.3, 0.5, frechet(alpha))
     new, ref = rngs(lag)
@@ -186,7 +192,7 @@ def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, innovation_b
 # (p = 0.05, lag 30), so the draws of X_0 and their join are compared too.
 @pytest.mark.parametrize("p, lag", [(0.01, 100), (0.05, 30)])
 @pytest.mark.parametrize("exponent", [frechet(1.7), weibull(1.7), gumbel()], ids=lambda e: e.family.value)
-@pytest.mark.parametrize("innovation_beta", [None, 4.0])
+@pytest.mark.parametrize("innovation_beta", [None, 4.0], ids=["None-None", "None-4.0"])
 def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, innovation_beta):
     spec = Ar1Spec(p, 0.5, exponent)
     new, ref = rngs(lag)
