@@ -103,21 +103,23 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
     The generator is read grid-major, as by a loop over grid points that
     draws n increments each, but in blocks of whole grid rows of about
     _BLOCK variates: one _sample_max call whose k holds the block's
-    interval lengths, one per increment (for one path, the rows of dt
-    itself), then a running maximum along the grid that starts from the
-    previous block's last column.  Seeded output is byte-identical to
-    that loop except where a uniform is exactly 0.0 (probability 2**-53
-    per variate): uniform_open redraws it after the whole block, the
-    loop after its own grid point.
+    interval lengths, one per increment, then a running maximum along
+    the grid that starts from the previous block's last column.  Each
+    block differences its own rows of times (the same subtractions as
+    differencing the whole grid), and for one path those differences
+    become the draws, so a call holds its output and a few blocks.
+    Seeded output is byte-identical to that loop except where a
+    uniform is exactly 0.0 (probability 2**-53 per variate): uniform_open
+    redraws it after the whole block, the loop after its own grid point.
     """
     times = _check_times(times)
     n = positive_integer(n, "n")
-    dt = np.diff(times, prepend=0.0)
     rows = max(1, _BLOCK // n)
     out = np.empty((n, times.size))
     for j in range(0, times.size, rows):
-        # one k per increment, overwritten with the draws; dt is this call's own
-        k = dt[j : j + rows] if n == 1 else np.repeat(dt[j : j + rows], n)
+        dt = np.diff(times[j - 1 : j + rows]) if j else np.diff(times[:rows], prepend=0.0)
+        # one k per increment, overwritten with the draws
+        k = dt if n == 1 else np.repeat(dt, n)
         block = _sample_max(spec.base, rng, k.size, k).reshape(-1, n)
         if j:
             np.maximum(out[:, j - 1], block[0], out=block[0])

@@ -241,7 +241,7 @@ def _neg_log(u):
     return np.negative(np.log(u, out=u), out=u)
 
 
-def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
+def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None, out=None):
     """n draws (one numpy scalar when n is None) of the maximum of k
     i.i.d. draws from law, i.e. of F**k; k = None stands for k = 1.
 
@@ -249,7 +249,9 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
     caller has just drawn (mixing times, interval lengths, look-back
     counts): that array is overwritten with the draws and returned.  A
     k that underflowed to 0.0 yields the support bottom, which
-    _quantile_w moves to the smallest point inside it.
+    _quantile_w moves to the smallest point inside it.  Otherwise the
+    draws go into out, a float64 array of n the caller owns (a slice of
+    its own output), or into a new array.
 
     The uniforms are drawn _BLOCK at a time into one scratch block,
     turned into draws there and copied into the output, so a call holds
@@ -267,7 +269,7 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None):
     if n is None:
         return _quantile_w(law, _neg_log(uniform_open(rng)), k)
     per_draw = np.ndim(k) > 0
-    out = k if per_draw else np.empty(n)
+    out = k if per_draw else np.empty(n) if out is None else out
     block = np.empty(min(n, _BLOCK))
     zeros, zero_k = [], []
     for i in range(0, n, _BLOCK):

@@ -210,10 +210,12 @@ def _mc_lattice(source, cells) -> list[KSReport]:
         # leaves enough free memory at the top of the heap for the allocator
         # to return it to the system, and the next cell faults it back in.
         # _ks_distance's blocks guard the same faults and the two add up:
-        # verify_all(42) takes ~2,000 minor faults with both, ~9,400 with
-        # the draws freed first, ~4,200 without the blocks and ~12,000 with
-        # neither (median 88, 96-108, 92 and 104-106 ms; glibc defaults, one
-        # CPU of a 2-vCPU host): keep both.
+        # verify_all(42) takes ~1,800 minor faults with both and ~6,300 with
+        # the draws freed first (medians of 90-103 and 96-133 ms in three
+        # processes each; glibc defaults, one CPU of a 2-vCPU host).  Before
+        # ar1_ensemble thinned X_0's uniforms and reused G's buffer it took
+        # ~1,900 and ~9,400, ~4,200 without the blocks and ~12,000 with
+        # neither (median 88, 96-108, 92 and 104-106 ms): keep both.
         draws = draw(source.substream(i).generator(), MC_SIZE)
         reports.append(_mc_cell(draws, beta))
     return reports

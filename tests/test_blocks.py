@@ -3,8 +3,10 @@ once, and memory bounded by the output plus one block.
 
 _sample_max draws its uniforms _BLOCK at a time into one scratch block
 and sample_ggamma its gammas likewise; a caller's freshly drawn mixing
-times become the output.  The whole-array sampler they replaced stays
-here as the oracle.
+times become the output.  The max-AR(1) samplers keep one reset flag
+per step, or X_0's uniforms where no reset happened, beside their
+output.  The whole-array samplers they replaced stay here as the
+oracles.
 """
 
 import tracemalloc
@@ -13,10 +15,13 @@ import numpy as np
 import pytest
 
 from maxdiv import (
+    Ar1Spec,
     ExtremalSpec,
     LawKind,
     RandomSource,
     SubordinatorSpec,
+    ar1_ensemble,
+    ar1_simulate,
     base_law,
     compound_simulate,
     ep_simulate_ensemble,
@@ -31,6 +36,7 @@ from maxdiv import (
     sample_ggamma,
     weibull,
 )
+from maxdiv.extremal import _running_max
 from maxdiv.laws import _BLOCK, _neg_log, _quantile_w, _sample_max
 from maxdiv.rng import uniform_open
 
@@ -155,6 +161,66 @@ def test_exact_zero_uniforms_are_redrawn_as_by_the_whole_array_sampler():
         np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
 
 
+def whole_array_ar1_simulate(spec, n_steps, rng):
+    """Every reset uniform at once, then X_0 and the innovations, then one
+    scan of the whole chain with the steps since the last reset."""
+    u = rng.random(n_steps - 1)
+    x0 = float(_sample_max(spec.marginal_law(), rng, None))
+    eps = whole_array_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, n_steps - 1) if n_steps > 1 else []
+    steps = np.arange(n_steps)
+    last_reset = np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))
+    return _running_max(np.concatenate(([x0], eps)), since=steps - last_reset)
+
+
+def whole_array_ar1_ensemble(spec, lag, rng, n):
+    """Every X_0 and the float counts held whole beside the output."""
+    u0 = uniform_open(rng, n)
+    back = rng.geometric(spec.p, n)
+    x = whole_array_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, n, np.minimum(back, lag, dtype=float))
+    return np.where(back > lag, np.maximum(x, _quantile_w(spec.marginal_law(), _neg_log(u0))), x)
+
+
+CHAIN_SPECS = [Ar1Spec(1e-9, 1.5, frechet(1.7)), Ar1Spec(0.01, 0.5, weibull(1.7)), Ar1Spec(0.5, 2.0, gumbel())]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_chain_scanned_by_blocks_equals_the_whole_chain_scan(n):
+    # n - 1 reset uniforms and innovations fill the blocks as the sizes
+    # say, and n + 1 puts X_0 and one block's worth of steps in the first
+    # block; at p = 1e-9 one stretch spans every block, so the value
+    # carried into each block decides the whole block
+    for size in (n, n + 1):
+        for i, spec in enumerate(CHAIN_SPECS):
+            new, old = twins(i)
+            got = ar1_simulate(spec, size, new)
+            np.testing.assert_array_equal(bits(got), bits(whole_array_ar1_simulate(spec, size, old)))
+            assert new.random(4).tobytes() == old.random(4).tobytes()
+
+
+def test_a_chain_with_exact_zero_uniforms_equals_the_whole_chain_scan():
+    # zeros among the reset uniforms (a zero is a reset) on both sides of
+    # a seam, and among the innovations, whose zeros are redrawn at the end
+    n = 2 * _BLOCK + 3
+    zero_at = [0, _BLOCK - 1, _BLOCK, n + 5, n + _BLOCK + 1]
+    for spec in CHAIN_SPECS:
+        new, old = ZeroedUniforms(3, zero_at), ZeroedUniforms(3, zero_at)
+        got = ar1_simulate(spec, n, new)
+        np.testing.assert_array_equal(bits(got), bits(whole_array_ar1_simulate(spec, n, old)))
+        assert new.zeros == old.zeros == len(zero_at)
+        assert new.drawn == old.drawn
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_ensemble_counts_turned_by_blocks_equal_the_whole_array_sampler(n):
+    # at p = 0.01 and lag 100 ~37% of the chains join X_0, at p = 0.5 none
+    for i, (p, lag) in enumerate(((0.01, 100), (0.5, 100), (0.3, 1))):
+        spec = Ar1Spec(p, 0.5, frechet(1.7))
+        new, old = twins(i)
+        got = ar1_ensemble(spec, lag, new, n)
+        np.testing.assert_array_equal(bits(got), bits(whole_array_ar1_ensemble(spec, lag, old, n)))
+        assert new.random(4).tobytes() == old.random(4).tobytes()
+
+
 # -- memory ----------------------------------------------------------------
 
 MEMORY_N = 10**6
@@ -170,37 +236,63 @@ SAMPLERS = {
 }
 
 
+def traced_peak(draw):
+    """The output of draw() and its tracemalloc peak, after a warm-up call."""
+    draw()
+    tracemalloc.start()
+    try:
+        out = draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 @pytest.mark.parametrize("name", SAMPLERS)
 def test_a_sampler_holds_its_output_and_one_block(name):
     # the output, a quarter of it more for small temporaries such as a
     # block's flags, and two blocks of float64 (the scratch block and one
     # more for numpy's own buffers); the whole-array samplers held the
     # mixing times and the uniforms at once, 2.1 times the output
-    draw = SAMPLERS[name]
-    draw(RandomSource(0).generator())
-    tracemalloc.start()
-    try:
-        out = draw(RandomSource(1).generator())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: SAMPLERS[name](RandomSource(1).generator()))
     assert out.shape == (MEMORY_N,)
     assert peak <= 1.25 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
 
 
 def test_a_path_draws_into_its_own_interval_lengths():
-    # the output and the interval lengths, plus blocks for the scratch and
-    # the running max; a copy of each block's lengths adds two more blocks
+    # the output, a quarter of it more for checking the grid, and blocks:
+    # each block's interval lengths, which become its draws, and the
+    # running max; holding every interval length took twice the output
     times = np.linspace(1e-3, 1e3, MEMORY_N)
     spec = ExtremalSpec(gamma_mid(2.0, E))
-    ep_simulate_ensemble(spec, times, RandomSource(0).generator(), 1)
-    tracemalloc.start()
-    try:
-        out = ep_simulate_ensemble(spec, times, RandomSource(1).generator(), 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
+    out, peak = traced_peak(lambda: ep_simulate_ensemble(spec, times, RandomSource(1).generator(), 1))
+    assert peak <= 1.25 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
+
+
+@pytest.mark.parametrize("p", [0.5, 0.01])
+def test_a_chain_holds_its_output_and_a_flag_per_step(p):
+    # the output, one reset flag per step (an eighth of it), and blocks:
+    # the reset uniforms, the innovations' scratch and the block scan's
+    # steps since the last reset and copies; the whole-chain scan held
+    # 6.25 times the output
+    spec = Ar1Spec(p, 1.0, E)
+    out, peak = traced_peak(lambda: ar1_simulate(spec, MEMORY_N, RandomSource(1).generator()))
+    assert out.shape == (MEMORY_N,)
+    assert peak <= 1.5 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
+
+
+@pytest.mark.parametrize("p", [0.5, 0.01])
+def test_an_ensemble_holds_its_output_and_the_look_back_counts(p):
+    # the X_0 uniforms and the int64 look-back counts, whose buffer becomes
+    # the output, with a flag per chain while the counts are compared to
+    # the lag; then, for the share (1 - p)**lag of chains with no reset, an
+    # index and a uniform each.  Holding every X_0 uniform and a float
+    # copy of the counts took 3.07 times the output at p = 0.5
+    lag = 100
+    spec = Ar1Spec(p, 1.0, E)
+    out, peak = traced_peak(lambda: ar1_ensemble(spec, lag, RandomSource(1).generator(), MEMORY_N))
+    assert out.shape == (MEMORY_N,)
+    assert peak <= (2.1 + 2 * (1 - p) ** lag) * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
 
 
 def test_law_d_f_compositions_work_in_the_copy_of_x():

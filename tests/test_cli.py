@@ -280,3 +280,32 @@ def test_stdout_of_a_real_process_is_the_same_bytes(tmp_path):
     spec = maxdiv.Ar1Spec(0.5, 1.0, Exponent("frechet", 1.0))
     chain = maxdiv.ar1_simulate(spec, 1000, RandomSource(2).generator())
     assert piped == csv_text("step,value", np.arange(chain.size), chain)
+
+
+# Runs argv and prints the peak RSS of its children.  Linux keeps the
+# high-water mark a process had before it exec'd another program, so a
+# child of the test process would report the test process's own peak;
+# this launcher imports nothing large, and its children start from it.
+PEAK_LAUNCHER = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_a_long_chain_costs_the_cli_little_more_than_its_output(tmp_path):
+    # 10**6 steps hold the chain (8 MB), its step index column (8 MB) and
+    # a reset flag per step (1 MB) beyond what 10 steps hold; the
+    # whole-chain scan held 46.6 MB more
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maxdiv.__file__)))
+    env.pop("MAXDIV_SEED", None)
+
+    def peak_bytes(steps):
+        args = ["-m", "maxdiv.cli", "ar1", "--p", "0.5", "--steps", str(steps), "--out", str(tmp_path / "chain.csv")]
+        run = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, *args], capture_output=True, env=env, check=True)
+        return 1024 * int(run.stdout)
+
+    output = 8 * 10**6
+    gap = peak_bytes(10**6) - peak_bytes(10)
+    assert gap <= 3 * output, gap / output

@@ -4,7 +4,11 @@ Prints one "sha256  argv" line per output target: the stdout of every
 CLI run, plus the file of every run that writes --out, then the stdout
 of a few library snippets run with `python -c`, which write raw draws
 that no CLI command prints.  A run that exits non-zero is marked
-"(exit N)".  Run it on two checkouts and diff:
+"(exit N)".  A first line names the numpy version and the SIMD dispatch
+targets numpy uses on this CPU: the digests hold for one numpy build on
+one dispatch target, so two listings that differ there are not
+comparable (NPY_DISABLE_CPU_FEATURES turns targets off to match two
+hosts).  Run it on two checkouts and diff:
 
     python tools/golden.py > new.txt
     python tools/golden.py /path/to/base/checkout > old.txt
@@ -197,7 +201,20 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _numpy_line() -> str:
+    """numpy's version and the dispatch targets it enables on this CPU."""
+    import numpy as np
+
+    try:
+        from numpy._core import _multiarray_umath as core  # numpy >= 2
+    except ImportError:
+        from numpy.core import _multiarray_umath as core
+    targets = [t for t in core.__cpu_dispatch__ if core.__cpu_features__.get(t)]
+    return f"# numpy {np.__version__}  dispatch: {' '.join(targets) or 'baseline only'}"
+
+
 def main(root: Path) -> None:
+    print(_numpy_line(), flush=True)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
