@@ -289,20 +289,22 @@ def _fallback(slots: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     slots[rows, :_SEP] = texts[inverse.reshape(-1)]
 
 
-def csv_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
+def csv_blocks(columns: Sequence[np.ndarray | range]) -> Iterator[bytearray]:
     """Yield the CSV lines of float64 columns, BLOCK_ROWS rows at a time,
     each block a new bytearray.
 
     Each line ends in "\\n".  The bytes equal those of the %-format of
     every row, a line ``",".join("%.17g" % v for each column) + "\\n"`` at
-    a time.  A column of any other dtype raises TypeError.
+    a time.  A range column, such as a step index, is formatted as the
+    float64 array of its integers, one block's rows at a time, so it is
+    never held whole.  A column of any other dtype raises TypeError.
     """
-    columns = [np.atleast_1d(np.asarray(c)) for c in columns]
+    columns = [c if isinstance(c, range) else np.atleast_1d(np.asarray(c)) for c in columns]
     for c in columns:
-        if c.dtype != np.float64:
+        if not isinstance(c, range) and c.dtype != np.float64:
             raise TypeError(f"csv_blocks formats float64 columns, got {c.dtype}")
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    size = columns[0].size
+    size = len(columns[0])
     if not size:
         return
     s = _Scratch(min(BLOCK_ROWS, size), len(columns))
@@ -310,6 +312,9 @@ def csv_blocks(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
         n = min(BLOCK_ROWS, size - start)
         text = s.text[:n]
         for j, (c, sep) in enumerate(zip(columns, seps)):
-            _float_text(c[start : start + n], text[:, 4 * j : 4 * j + 4], sep, s)
+            x = c[start : start + n]
+            if isinstance(x, range):
+                x = np.arange(x.start, x.stop, x.step, dtype=float)
+            _float_text(x, text[:, 4 * j : 4 * j + 4], sep, s)
         s.text[n:] = 0  # a short last block: the rest of the buffer prints nothing
         yield s.buffer.translate(None, b"\0")

@@ -30,11 +30,11 @@ F_eps**k (ar1_ensemble).  X_0's uniforms are drawn first, for every
 chain, but turned into marginal draws only where G > L: at p = 0.2 and
 L = 100 that is ~2e-10 of the chains.
 
-Beside their output both samplers hold blocks of _BLOCK values and
-little else: the chain a reset flag per step, as it scans its output a
-block at a time; the ensemble, once G is drawn, an index and X_0's
-uniform for each chain with G > L only, as G turns into float counts in
-its own buffer, which becomes the output.
+Beside their output both samplers hold a few blocks and little else:
+the chain a reset flag per step, as it scans its output a block at a
+time; the ensemble an index and X_0's uniform for each chain with
+G > L, as it draws G a block at a time and writes the counts min(G, L)
+over X_0's uniforms, whose buffer becomes the output.
 """
 
 from __future__ import annotations
@@ -146,14 +146,10 @@ def ar1_simulate(
     return out
 
 
-def _float_counts(back: np.ndarray, lag: int) -> np.ndarray:
-    """min(back, lag) as float64 in the buffer of back, an int64 array
-    the caller allocated; a block at a time, because numpy copies an
-    overlapping source whole before it casts."""
-    k = back.view(float)
-    for i in range(0, back.size, _BLOCK):
-        np.minimum(back[i : i + _BLOCK], lag, out=k[i : i + _BLOCK], dtype=float)
-    return k
+# look-back counts drawn per block: 64 KB of int64, which the heap hands
+# out again to the next block, where a _BLOCK of them (512 KB) is mapped
+# fresh and faulted in every time
+_COUNT_BLOCK = 2**13
 
 
 def ar1_ensemble(
@@ -170,29 +166,36 @@ def ar1_ensemble(
     stationary marginal, the look-back G ~ geometric(p) to the last
     reset, and one draw of the maximum of min(G, lag) innovations, which
     X_0 joins where G > lag: at most three variates per chain, whatever
-    the lag.  X_0 is read only where G > lag, so only those uniforms are
-    kept once G is drawn, and turned into marginal draws; every value is
-    the one that transforming all of them would give.  The counts
-    min(G, lag) become float64 in G's buffer, which then receives the
-    draws, so beside the output the call holds one block and, where
-    G > lag, an index and a uniform per chain.  Its peak comes while G
-    and every X_0 uniform are held, before they are thinned: 2.13 times
-    the output at p = 0.5 and lag 100, 2.73 at p = 0.01, where 37% of
-    the chains keep X_0 (3.07 and 4.46 when every uniform and a float
-    copy of G were kept).  G is an int64, so every lag from 2**63 - 1
-    up draws the same values.
+    the lag.  X_0 is read only where G > lag.  So G is drawn
+    _COUNT_BLOCK at a time (the same draws as one rng.geometric call);
+    each block keeps the X_0 uniforms of its chains with G > lag, with
+    their indices, and then writes min(G, lag) as float64 over its X_0
+    uniforms.  That buffer receives the draws, and the kept uniforms are
+    turned into marginal draws and joined in; every value is the one
+    that transforming all of them would give.  Beside the output the
+    call holds a few blocks and, where G > lag, an index and a uniform
+    per chain: 1.13 times the output at p = 0.5 and lag 100, 1.81 at
+    p = 0.01, where 37% of the chains keep X_0 (2.13 and 2.73 when all
+    of G was drawn at once beside every X_0 uniform).  G is an int64,
+    so every lag from 2**63 - 1 up draws the same values.
     """
     # index() rejects a float lag (a fractional innovation count); numpy, an int beyond int64
     lag = min(operator.index(lag), np.iinfo(np.int64).max)
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     n_chains = positive_integer(n_chains, "n_chains")
-    u0 = uniform_open(rng, n_chains)
+    x = uniform_open(rng, n_chains)
     if lag == 0:
-        return _marginal(spec, u0)
-    back = rng.geometric(spec.p, n_chains)
-    no_reset = np.flatnonzero(back > lag)
-    u0 = u0[no_reset]
-    x = _innovations(spec, rng, n_chains, innovation_beta, k=_float_counts(back, lag))
-    x[no_reset] = np.maximum(x[no_reset], _marginal(spec, u0))
+        return _marginal(spec, x)
+    joins = []  # (indices, X_0 uniforms) of the chains with G > lag, by block
+    for i in range(0, n_chains, _COUNT_BLOCK):
+        back = rng.geometric(spec.p, min(_COUNT_BLOCK, n_chains - i))
+        block = x[i : i + back.size]
+        no_reset = np.flatnonzero(back > lag)
+        if no_reset.size:
+            joins.append((no_reset + i, block[no_reset]))
+        np.minimum(back, lag, out=block, dtype=float)
+    x = _innovations(spec, rng, n_chains, innovation_beta, k=x)
+    for no_reset, u0 in joins:
+        x[no_reset] = np.maximum(x[no_reset], _marginal(spec, u0))
     return x

@@ -48,8 +48,9 @@ def critical_two_sample(n: int, m: int) -> float:
     return float(KS_COEFFICIENTS[0.01] * np.sqrt((n + m) / (n * m)))
 
 
-def _sorted_sample(samples) -> np.ndarray:
-    """A sorted float copy of a one-dimensional sample.
+def _sorted_sample(samples, overwrite_input: bool = False) -> np.ndarray:
+    """A one-dimensional sample as a sorted float array: a sorted copy,
+    or, with overwrite_input, a writeable float64 array sorted in place.
 
     An ensemble's columns follow different laws, so a 2-d array is
     rejected rather than flattened into one sample.
@@ -57,20 +58,29 @@ def _sorted_sample(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"a KS sample must be one-dimensional, got shape {x.shape}")
-    return np.sort(x)
+    if not (overwrite_input and x.flags.writeable):
+        x = x.copy()
+    x.sort()
+    return x
 
 
-def ks_one_sample(samples, cdf) -> KSReport:
+def ks_one_sample(samples, cdf, *, overwrite_input: bool = False) -> KSReport:
     """Sup distance between the empirical d.f. and a target d.f.
 
     cdf may be a MaxLaw or any vectorized d.f. callable.  The statistic
     is evaluated on both sides of each jump of the empirical d.f.
+
+    The statistic is computed on a sorted copy of samples.  With
+    overwrite_input=True (numpy's name), a writeable one-dimensional
+    float64 array is sorted and evaluated in its own buffer instead, so
+    the call holds no copy of it; its contents are undefined afterwards.
+    The statistic is the same to the bit either way.
     """
-    xs = _sorted_sample(samples)
+    xs = _sorted_sample(samples, overwrite_input)
     n = xs.size
     if n < 1:
         raise ValueError("ks_one_sample needs at least one sample")
-    # the sorted copy is ours: a MaxLaw's d.f. overwrites it in place
+    # xs is ours to overwrite: a MaxLaw's d.f. is evaluated in its buffer
     f = _cdf_raw(xs, cdf) if isinstance(cdf, MaxLaw) else np.asarray(cdf(xs), dtype=float)
     stat = _ks_distance(f)
     crit = critical_one_sample(n)

@@ -197,28 +197,23 @@ def _check_r2_1(source) -> tuple[float, str]:
 
 def _mc_cell(draws, beta: float, exponent=_E1) -> KSReport:
     """The one Monte Carlo cell test, of T3_1-T3_3 and of `maxdiv ar1 --check`:
-    the KS report of the draws against ggamma_mid(beta, exponent)."""
-    return ks_one_sample(draws, ggamma_mid(beta, exponent))
+    the KS report of the draws against ggamma_mid(beta, exponent), which
+    sorts and evaluates the draws in their own buffer."""
+    return ks_one_sample(draws, ggamma_mid(beta, exponent), overwrite_input=True)
 
 
 def _mc_lattice(source, cells) -> list[KSReport]:
     """KS reports of the (draw, beta) cells in order; cell i tests
     draw(rng, MC_SIZE) with rng from source.substream(i)."""
-    reports = []
-    for i, (draw, beta) in enumerate(cells):
-        # draws stays bound until the next cell has drawn: freed first, it
-        # leaves enough free memory at the top of the heap for the allocator
-        # to return it to the system, and the next cell faults it back in.
-        # _ks_distance's blocks guard the same faults and the two add up:
-        # verify_all(42) takes ~1,800 minor faults with both and ~6,300 with
-        # the draws freed first (medians of 90-103 and 96-133 ms in three
-        # processes each; glibc defaults, one CPU of a 2-vCPU host).  Before
-        # ar1_ensemble thinned X_0's uniforms and reused G's buffer it took
-        # ~1,900 and ~9,400, ~4,200 without the blocks and ~12,000 with
-        # neither (median 88, 96-108, 92 and 104-106 ms): keep both.
-        draws = draw(source.substream(i).generator(), MC_SIZE)
-        reports.append(_mc_cell(draws, beta))
-    return reports
+    # each cell's draws go before the next cell draws, so the lattice holds
+    # one sample: the KS test sorts it in its own buffer, and ar1_ensemble
+    # writes its look-back counts over X_0's uniforms in blocks the heap
+    # reuses.  After a warm-up verify_all(42) then takes no minor page faults,
+    # against 1,584-1,828 when each cell's draws stayed until the next had
+    # drawn, the KS test sorted a copy and G was drawn whole.  Freed first,
+    # the draws took 6,256 with a copying KS test and 3,590 with G drawn
+    # 2**16 at a time (three processes each; glibc defaults, 2-vCPU host)
+    return [_mc_cell(draw(source.substream(i).generator(), MC_SIZE), beta) for i, (draw, beta) in enumerate(cells)]
 
 
 def _ar1_draw(spec: Ar1Spec, innovation_beta: float | None = None):

@@ -44,6 +44,7 @@ from maxdiv import (
     sup_norm_grid,
     weibull,
 )
+from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.exponents import Family
 from maxdiv.laws import _KINDS, _sample_max
 from maxdiv.rng import uniform_open
@@ -189,15 +190,19 @@ def test_ar1_ensemble_equals_the_out_of_place_reference(alpha, lag, innovation_b
 
 # At p = 0.3 and lag >= 30, X_0 is read in ~2e-5 of the chains, so in none of
 # the 4,000 above.  These read it in ~37% (p = 0.01, lag 100) and ~21%
-# (p = 0.05, lag 30), so the draws of X_0 and their join are compared too.
+# (p = 0.05, lag 30), so the draws of X_0 and their join are compared too,
+# over two of the look-back counts' blocks and part of a third.
+JOIN_CHAINS = 2 * _COUNT_BLOCK + 1000
+
+
 @pytest.mark.parametrize("p, lag", [(0.01, 100), (0.05, 30)])
 @pytest.mark.parametrize("exponent", [frechet(1.7), weibull(1.7), gumbel()], ids=lambda e: e.family.value)
 @pytest.mark.parametrize("innovation_beta", [None, 4.0], ids=["None-None", "None-4.0"])
 def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, innovation_beta):
     spec = Ar1Spec(p, 0.5, exponent)
     new, ref = rngs(lag)
-    got = ar1_ensemble(spec, lag, new, 4000, innovation_beta=innovation_beta)
-    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 4000, innovation_beta)))
+    got = ar1_ensemble(spec, lag, new, JOIN_CHAINS, innovation_beta=innovation_beta)
+    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, JOIN_CHAINS, innovation_beta)))
 
 
 # -- the one-sample KS d.f. runs in the sorted copy --------------------------

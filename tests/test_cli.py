@@ -295,9 +295,10 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
 def test_a_long_chain_costs_the_cli_little_more_than_its_output(tmp_path):
-    # 10**6 steps hold the chain (8 MB), its step index column (8 MB) and
-    # a reset flag per step (1 MB) beyond what 10 steps hold; the
-    # whole-chain scan held 46.6 MB more
+    # 10**6 steps hold the chain (8 MB) and a reset flag per step (1 MB)
+    # beyond what 10 steps hold, the step index being formatted a block at
+    # a time; a whole step index column held 8 MB more, and the whole-chain
+    # scan 46.6 MB more
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maxdiv.__file__)))
     env.pop("MAXDIV_SEED", None)
 
@@ -308,4 +309,4 @@ def test_a_long_chain_costs_the_cli_little_more_than_its_output(tmp_path):
 
     output = 8 * 10**6
     gap = peak_bytes(10**6) - peak_bytes(10)
-    assert gap <= 3 * output, gap / output
+    assert gap <= 1.5 * output, gap / output

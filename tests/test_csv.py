@@ -157,6 +157,9 @@ def test_block_boundaries(n):
     assert len(blocks) == -(-n // BLOCK_ROWS)
     assert all(b.count(b"\n") == BLOCK_ROWS for b in blocks[:-1])
     assert b"".join(blocks) == oracle(steps, x)
+    # a range column is formatted as its float64 array, one block's rows at a time
+    assert b"".join(csv_blocks([range(n), x])) == b"".join(blocks)
+    assert b"".join(csv_blocks([x, range(3, 3 * n + 3, 3)])) == oracle(x, np.arange(3, 3 * n + 3, 3, dtype=float))
 
 
 # the longest texts: through the digit path, through "%" (below 1e-280) and in fixed notation
@@ -200,7 +203,7 @@ def test_three_float_columns_and_an_empty_input():
     rng = np.random.default_rng(5)
     cols = [np.exp(rng.uniform(-700, 700, 50_000)) for _ in range(3)]
     assert_same_text(*cols)
-    assert formatted(np.array([])) == b""
+    assert formatted(np.array([])) == formatted(range(0)) == b""
     assert formatted(2.5) == b"2.5\n"
 
 

@@ -1,4 +1,5 @@
-"""The max-AR(1) chain's dependence: what one step keeps of the last.
+"""The max-AR(1) chain's dependence: what one step keeps of the last,
+and the law of a stretch's maximum.
 
 X_k = X_{k-1} exactly when step k is not a reset and the innovation
 falls below X_{k-1}.  Stationarity gives F_eps = F/(p + (1-p)F), so
@@ -6,12 +7,19 @@ falls below X_{k-1}.  Stationarity gives F_eps = F/(p + (1-p)F), so
     P(X_k = X_{k-1}) = (1-p) * int_0^1 u/(p + (1-p)u) du = 1 + p log p/(1-p),
 
 for every continuous stationary chain, whatever its marginal.
+
+Each X_k is at least eps_k and at most max(X_0, eps_1..eps_k), so the
+maximum M_m of X_0..X_m is max(X_0, eps_1..eps_m), whatever the resets:
+
+    P(M_m <= x) = F(x) * F_eps(x)**m,
+
+where m + 1 independent values would give F(x)**(m + 1).
 """
 
 import numpy as np
 import pytest
 
-from maxdiv import Ar1Spec, RandomSource, ar1_simulate, frechet, gumbel, weibull
+from maxdiv import Ar1Spec, RandomSource, ar1_simulate, frechet, gumbel, innovation_cdf_from_marginal, ks_one_sample, weibull
 
 TIE_STEPS = 10**6
 TIE_Z = 4.0  # nine cells: a false alarm about once in 1,700 seeds
@@ -79,3 +87,38 @@ def test_chain_ties_its_last_value_at_the_reset_rate(p, stream, exponent):
 
     assert abs(z(p)) < TIE_Z, (observed, tie_rate(p))
     assert min(abs(z(p - 0.01)), abs(z(p + 0.01))) > TIE_Z, observed
+
+
+PATH_M = 20
+PATH_BLOCKS = 20_000
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+def test_a_stretch_maximum_follows_the_marginal_times_m_innovations(p):
+    """The maximum of m + 1 = 21 consecutive values follows F * F_eps**m
+    within the 1% KS band (0.0115 at 20,000 maxima), and not F**(m + 1),
+    the law of 21 independent values: here they read 0.0048, 0.0064 and
+    0.0061 against F * F_eps**m, and 0.48, 0.23 and 0.040 against
+    F**(m + 1), at p = 0.2, 0.5 and 0.9.
+
+    The maxima come from blocks of m + 1 values of one long chain, g
+    steps apart: a reset in the gap makes the next block independent of
+    the last, and (1 - p)**g < 1e-15 is the chance that none happens.
+    F_eps is solved from the marginal through the stationarity equation,
+    not taken from the innovation law the sampler draws.  The three
+    cases take about 0.3 s, most of it the 3.5 * 10**6-step chain at
+    p = 0.2.
+    """
+    gap = int(np.ceil(np.log(1e-15) / np.log1p(-p)))
+    spec = Ar1Spec(p, 1.0, frechet(1.0))
+    chain = ar1_simulate(spec, PATH_BLOCKS * (PATH_M + 1 + gap), RandomSource(7, 70).generator())
+    maxima = chain.reshape(PATH_BLOCKS, -1)[:, : PATH_M + 1].max(axis=1)
+    law = spec.marginal_law()
+
+    def path_max_cdf(x):
+        f = law.cdf(x)
+        return f * innovation_cdf_from_marginal(f, p) ** PATH_M
+
+    report = ks_one_sample(maxima, path_max_cdf)
+    assert report.passed, report
+    assert not ks_one_sample(maxima, lambda x: law.cdf(x) ** (PATH_M + 1)).passed

@@ -88,6 +88,48 @@ def test_one_sample_statistic_equals_the_whole_sample_formula(n):
     assert np.isnan(_whole_sample_statistic(draws, with_nan))
 
 
+def overwrite_case(name):
+    """(sample, d.f.): unsorted draws, ties, a NaN, or a d.f. that is not a MaxLaw."""
+    law = ggamma_mid(0.5, E1)
+    draws = law.sample_inverse(RandomSource(7, 53).generator(), 3 * _KS_BLOCK + 17)
+    if name == "ties":
+        ties = np.repeat(draws[:2000], 3)
+        ties[::7] = -0.0  # signed zeros tie with 0.0 and sit on the support bottom
+        ties[::11] = 0.0
+        return ties, law
+    if name == "nan":
+        draws[100] = np.nan
+    return draws, (lambda x: law.cdf(x) ** 1.01) if name == "callable" else law
+
+
+@pytest.mark.parametrize("name", ["unsorted", "ties", "nan", "callable"])
+def test_one_sample_in_place_gives_the_statistic_of_the_sorted_copy(name):
+    draws, cdf = overwrite_case(name)
+    kept = draws.copy()
+    report = ks_one_sample(draws, cdf)
+    assert draws.tobytes() == kept.tobytes()  # by default the caller's array is left alone
+    in_place = ks_one_sample(draws, cdf, overwrite_input=True)
+    assert np.float64(in_place.statistic).tobytes() == np.float64(report.statistic).tobytes()
+    assert in_place == report or np.isnan(report.statistic)
+    assert draws.tobytes() != kept.tobytes()  # the sample was sorted in its own buffer
+
+
+def test_one_sample_in_place_copies_what_it_cannot_overwrite():
+    # a read-only array, another dtype and a list are left as they are
+    law = ggamma_mid(0.5, E1)
+    draws = law.sample_inverse(RandomSource(8, 53).generator(), 1000)
+    statistic = ks_one_sample(draws, law).statistic
+    read_only = draws.copy()
+    read_only.setflags(write=False)
+    single = draws.astype(np.float32)
+    for sample in (read_only, single, draws.tolist()):
+        kept = np.array(sample, copy=True)
+        report = ks_one_sample(sample, law, overwrite_input=True)
+        assert np.array(sample).tobytes() == kept.tobytes()
+        want = statistic if sample is not single else ks_one_sample(single, law).statistic
+        assert report.statistic == want
+
+
 def test_one_sample_accepts_law_or_callable():
     law = ggamma_mid(0.5, E1)
     draws = law.sample_inverse(RandomSource(30, 50).generator(), 5000)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,14 @@ from maxdiv import (
     gamma_mid,
     ggamma_mid,
     ks_one_sample,
+    n_max_cdf,
+    quantile_grid,
     report_to_dict,
     verify,
     verify_all,
 )
+
+from maxdiv.laws import _BLOCK
 
 verify_module = importlib.import_module("maxdiv.verify")
 
@@ -165,12 +170,51 @@ def test_a_convergence_scheme_that_moves_away_fails_its_check(monkeypatch):
     assert not report.passed, format_report(report)
 
 
+# T2_4's scheme F_n = ggamma_mid(beta/n)**n tends to F = gamma_mid(beta).
+# With y = -log F, F_n = (1 + y/n)**-n = F exp(y**2/(2n) - y**3/(3n**2) + ...), so
+#     n (F_n - F) = y**2 F/2 + F (y**4/8 - y**3/3)/n + O(1/n**2).
+# sup_y e**-y |y**4/8 - y**3/3| = 0.2460 (at y = 5.10), and the next term,
+# e**-y (y**6/48 - y**5/6 + y**4/4)/n**2, is at most 0.39/n**2: K = 0.25
+# bounds both from n = 10**3 on (the error measures 0.2457/n and 0.2460/n).
+T2_4_RATE_K = 0.25
+
+
+def t2_4_rate_error(shape, beta, n):
+    """sup |n (F_n - F) - y**2 F/2| over the registry's grid, F_n = ggamma_mid(shape)**n."""
+    target = gamma_mid(beta, E1)
+    grid = quantile_grid(target)
+    f, y = target.cdf(grid), target.neg_log_cdf(grid)
+    return float(np.max(np.abs(n * (n_max_cdf(ggamma_mid(shape, E1), n, grid) - f) - y**2 * f / 2)))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4])
+@pytest.mark.parametrize("beta", verify_module.BETAS)
+def test_t2_4_converges_at_its_first_order_rate(beta, n):
+    """n (F_n - F) is y**2 F/2 to within K/n, and the shapes beta/(n + 1)
+    and beta (1 + 1/n)/n, which converge to the same limit, miss it by
+    y F, up to 1/e = 0.368.  On the quantile grid every term is a
+    function of u = F(x) alone, so the betas differ in rounding only."""
+    assert t2_4_rate_error(beta / n, beta, n) <= T2_4_RATE_K / n
+    for wrong in (beta / (n + 1), beta * (1 + 1 / n) / n):
+        assert t2_4_rate_error(wrong, beta, n) > 0.36
+
+
+def test_t2_4_cannot_see_the_rate(monkeypatch):
+    # what the rate test adds: the registry's monotone, below-1e-3 rule
+    # passes the beta/(n + 1) scheme
+    real = verify_module.n_max_cdf
+    monkeypatch.setattr(verify_module, "n_max_cdf", lambda law, n, x: real(ggamma_mid(law.beta * n / (n + 1), E1), n, x))
+    report = verify("T2_4", seed=0)
+    assert report.passed, format_report(report)
+    assert "sup@n10000=5.869e-05" in report.detail  # 2.707e-05 for the real scheme
+
+
 def _spy_ks(monkeypatch, nan_call=None):
     """Record every KS report of the registry; call nan_call reports NaN."""
     real, reports = verify_module.ks_one_sample, []
 
-    def ks_one_sample(samples, cdf):
-        report = real(samples, cdf)
+    def ks_one_sample(samples, cdf, **kwargs):
+        report = real(samples, cdf, **kwargs)
         if len(reports) == nan_call:
             report = dataclasses.replace(report, statistic=math.nan, passed=False)
         reports.append(report)
@@ -223,3 +267,22 @@ def test_t3_3_control_is_its_last_lattice_cell(monkeypatch):
     detail = verify("T3_3", seed).detail
     assert reports[-1].statistic == statistic
     assert f"beta/p control={statistic:.5f} must fail" in detail
+
+
+@pytest.mark.parametrize("theorem_id", MONTE_CARLO_IDS)
+def test_a_monte_carlo_check_holds_one_sample_and_two_blocks(theorem_id):
+    # each cell's draws go before the next cell draws, the KS test sorts and
+    # evaluates them in their own buffer, and ar1_ensemble writes its
+    # look-back counts over X_0's uniforms: one sample of MC_SIZE float64
+    # and two of the samplers' blocks (their scratch block and numpy's
+    # buffers).  Keeping the last cell's draws, a sorted copy of them and
+    # every X_0 uniform beside the counts took 2.2-2.5 MB, 1.2-1.4 samples more
+    verify(theorem_id, 3)
+    tracemalloc.start()
+    try:
+        verify(theorem_id, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sample = 8 * verify_module.MC_SIZE
+    assert peak <= sample + 2 * 8 * _BLOCK, peak / sample

@@ -8,27 +8,37 @@ that no CLI command prints.  A run that exits non-zero is marked
 targets numpy uses on this CPU: the digests hold for one numpy build on
 one dispatch target, so two listings that differ there are not
 comparable (NPY_DISABLE_CPU_FEATURES turns targets off to match two
-hosts).  Run it on two checkouts and diff:
+hosts).  Run it on two checkouts and compare the listings:
 
     python tools/golden.py > new.txt
     python tools/golden.py /path/to/base/checkout > old.txt
-    diff old.txt new.txt
+    python tools/golden.py --compare old.txt new.txt
 
 The optional argument is the root of the checkout whose src/ is run
 (default: the checkout holding this script).  The matrix takes about
 twenty seconds.
+
+--compare fails (exit 1) on a row whose digest or exit mark changed, or
+that the new listing dropped, unless tools/golden_changes.txt lists its
+label (the text after the digest) with the reason for the change.  It
+also fails on a listed label whose row did not change, so a change that
+lists rows leaves the file for the next change to empty.  Rows the new
+listing adds are reported and pass.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 OUT = "{out}"  # replaced by a temporary file, which is hashed too
+CHANGES = Path(__file__).with_name("golden_changes.txt")
 
 MATRIX = (
     "table",
@@ -232,5 +242,67 @@ def main(root: Path) -> None:
             print(f"{_sha(run.stdout)}  python -c: {label}{code}", flush=True)
 
 
+_ROW = re.compile(r"([0-9a-f]{64})  (.*?)(  \(exit -?\d+\))?")
+
+
+def _rows(listing: str) -> tuple[str, dict[str, str]]:
+    """The first line of a listing and its rows as label -> digest and exit mark."""
+    header, *lines = listing.splitlines() or [""]
+    rows = {}
+    for line in lines:
+        match = _ROW.fullmatch(line)
+        if match is None:
+            raise ValueError(f"not a listing row: {line!r}")
+        digest, label, code = match.groups()
+        if label in rows:
+            raise ValueError(f"label listed twice: {label!r}")
+        rows[label] = digest + (code or "")
+    return header, rows
+
+
+def _accepted(changes: str) -> dict[str, str]:
+    """label -> reason of the "label | reason" lines; # starts a comment line."""
+    accepted = {}
+    for line in changes.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        label, bar, reason = line.partition(" | ")
+        if not bar or not reason.strip():
+            raise ValueError(f"expected 'label | reason', got {line!r}")
+        accepted[label.strip()] = reason.strip()
+    return accepted
+
+
+def compare(base: str, head: str, changes: str) -> tuple[list[str], list[str]]:
+    """(failures, notes) of head's listing against base's, given the text of
+    the accepted changes."""
+    (base_header, old), (head_header, new), accepted = _rows(base), _rows(head), _accepted(changes)
+    if base_header != head_header:
+        return [f"the listings come from different builds: {base_header!r} and {head_header!r}"], []
+    failures, notes = [], []
+    for label, digest in old.items():
+        change = "dropped" if label not in new else "changed" if new[label] != digest else None
+        if change and label in accepted:
+            notes.append(f"{change}, accepted ({accepted[label]}): {label}")
+        elif change:
+            failures.append(f"{change}, not listed in {CHANGES.name}: {label}")
+        elif label in accepted:
+            failures.append(f"listed in {CHANGES.name} but unchanged: {label}")
+    failures += [f"listed in {CHANGES.name} but not in the base listing: {label}" for label in accepted.keys() - old.keys()]
+    notes += [f"new: {label}" for label in new.keys() - old.keys()]
+    return failures, notes
+
+
 if __name__ == "__main__":
-    main(Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve())
+    parser = argparse.ArgumentParser(description="Digests of seeded maxdiv runs, or a comparison of two listings.")
+    parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1], help="checkout whose src/ is run")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"), help="compare two listings instead")
+    parser.add_argument("--changes", type=Path, default=CHANGES, help="the rows changed on purpose (default: %(default)s)")
+    args = parser.parse_args()
+    if args.compare is None:
+        main(args.root.resolve())
+    else:
+        base, head = (path.read_text() for path in args.compare)
+        failures, notes = compare(base, head, args.changes.read_text())
+        print("\n".join(notes + failures) or "the listings are identical")
+        sys.exit(1 if failures else 0)
