@@ -18,6 +18,7 @@ from maxdiv import (
     quantile_grid,
     weibull,
 )
+from maxdiv.ar1 import _COUNT_BLOCK, _geometric, _search_table
 from maxdiv.extremal import _running_max
 from maxdiv.ksstats import critical_two_sample
 from maxdiv.laws import _sample_max
@@ -274,6 +275,50 @@ def test_ensemble_validation():
         ar1_simulate(spec, 10, rng, 2.0)
     with pytest.raises(TypeError):
         ar1_ensemble(spec, 10, rng, 100, 2.0)
+
+
+# -- the look-back draw: numpy's Generator.geometric, without its loop --
+
+# both sides of numpy's switch from inversion to its search, at 1/3, the
+# extremes of each regime, and 1e-300, where numpy clamps to INT64_MAX
+GEOMETRIC_PS = [1e-300, 1e-9, 0.01, 0.2, np.nextafter(1 / 3, 0), 1 / 3, np.nextafter(1 / 3, 1), 0.5, 0.7, 0.9, 1 - 1e-12]
+
+
+@pytest.mark.parametrize("p", GEOMETRIC_PS)
+def test_geometric_draws_numpys_values_from_numpys_variates(p):
+    # one draw, one look-back block and one over: the same values, and the
+    # generator left where numpy leaves it
+    for seed in range(20):
+        for n in (1, _COUNT_BLOCK, _COUNT_BLOCK + 1):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _geometric(new, p, n)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, old.geometric(p, n))
+            assert new.random() == old.random()
+
+
+class _Uniforms:
+    """A generator whose rng.random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.array(u)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def test_geometric_search_ends_past_a_table_that_stops_short():
+    # at p = 0.7 numpy's partial sums stop growing at 0.9999999999999997,
+    # below the two largest uniforms, for which numpy's loop never ends;
+    # the lookup gives them the table length + 1.  A uniform equal to a
+    # partial sum takes that sum's count, and u = 0 takes 1
+    sums = _search_table(0.7)[0]
+    table = sums[np.isfinite(sums)]
+    assert table.size == 31 and table[-1] == 0.9999999999999997
+    top = 1.0 - 2.0**-53
+    u = [0.0, table[0], np.nextafter(table[0], 1), table[-1], np.nextafter(table[-1], 1), top]
+    np.testing.assert_array_equal(_geometric(_Uniforms(u), 0.7, len(u)), [1, 1, 2, 31, 32, 32])
 
 
 def test_lags_beyond_the_int64_range_draw_as_its_largest_lag():

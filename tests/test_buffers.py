@@ -205,6 +205,19 @@ def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, innovat
     np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, JOIN_CHAINS, innovation_beta)))
 
 
+# At p = 1e-300, ceil(E / -log1p(-p)) is past 2**63 for every chain, where
+# numpy's geometric returns INT64_MAX: beyond lag 100, so every chain joins
+# X_0, and equal to lag 2**63 - 1, so none does.  A cast that wraps those
+# counts to INT64_MIN draws NaN for every chain.
+@pytest.mark.parametrize("lag", [100, 2**63 - 1])
+def test_ar1_ensemble_clamps_the_look_back_as_numpy_does(lag):
+    spec = Ar1Spec(1e-300, 1.5, frechet(1.7))
+    new, ref = rngs(5)
+    got = ar1_ensemble(spec, lag, new, 1000)
+    assert not np.isnan(got).any()
+    np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, 1000)))
+
+
 # -- the one-sample KS d.f. runs in the sorted copy --------------------------
 
 def reference_ggamma(s, b, cdf):

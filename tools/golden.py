@@ -133,6 +133,18 @@ for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
     draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000)
     sys.stdout.buffer.write(draws.tobytes())
 """,
+    # the look-back G on both sides of numpy's switch from inversion to its
+    # search at p = 1/3, at 0.7, whose search table stops short of the largest
+    # uniform, and at 1e-300, where every G is numpy's clamp to INT64_MAX
+    "ar1_ensemble draws at lag 100 on both sides of p = 1/3, at 0.7 and at 1e-300": """
+import sys
+import numpy as np
+import maxdiv
+for p in (np.nextafter(1 / 3, 0), 1 / 3, 0.7, 1e-300):
+    spec = maxdiv.Ar1Spec(float(p), 1.5, maxdiv.frechet(1.7))
+    draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000)
+    sys.stdout.buffer.write(draws.tobytes())
+""",
     # the CLI writes one path; these take many grid rows per block, and one
     # row per block that spans two of the samplers' 2**16-draw blocks
     "ep_simulate_ensemble at 300 paths x 1,000 times and 70,000 paths x 3 times": """
