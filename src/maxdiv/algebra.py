@@ -114,7 +114,7 @@ def geo_max_sample(law: MaxLaw, p, rng: np.random.Generator, size: int | None = 
     w = _neg_log(uniform_open(rng, n))
     if p < 1.0:
         # -log H = log1p(p * expm1(w)), in the buffer of w
-        _GMID.neg_log(np.multiply(p, _GMID.s_of_w(w, 1.0, w), out=w), 1.0)
+        _GMID.neg_log(np.multiply(p, _GMID.s_of_w(w, 1.0), out=w), 1.0)
     out = _quantile_w(law, w)
     return float(out[0]) if size is None else out
 

@@ -15,10 +15,12 @@ chain; that variant is kept reachable (innovation_beta override) as a
 negative control for the verification harness.
 
 Both samplers draw X_0 from the stationary marginal, so every X_n
-follows it.  Neither steps the recursion one value at a time.  Between
-two resets the chain is the running maximum of the innovations since
-the last reset, X_0 heading the stretch before the first one, so a
-whole chain is a segmented running maximum (ar1_simulate).  For a
+follows it, and by one transform of open uniforms (_marginal): a chain
+of one step is, to the bit, the lag-0 ensemble of one chain drawn from
+the same generator.  Neither steps the recursion one value at a time.
+Between two resets the chain is the running maximum of the innovations
+since the last reset, X_0 heading the stretch before the first one, so
+a whole chain is a segmented running maximum (ar1_simulate).  For a
 single lag L, look back from step L: each step was a reset with
 probability p, independently, so the number of steps back to the last
 reset is G ~ geometric(p) on {1, 2, ...}.  If G <= L, X_L is the
@@ -119,10 +121,11 @@ def ar1_simulate(
 ) -> np.ndarray:
     """A single chain of n_steps values, X_0 included.
 
-    X_0 follows the stationary marginal.  Branch uniforms for the whole
-    chain are drawn first (u < p is a reset), then X_0, then the
-    innovations, so equal-seed runs reproduce byte for byte.  The chain
-    is the running-max scan of extremal paths, restarted at each reset.
+    X_0 follows the stationary marginal, drawn as ar1_ensemble draws
+    it.  Branch uniforms for the whole chain are drawn first (u < p is
+    a reset), then X_0's uniform, then the innovations, so equal-seed
+    runs reproduce byte for byte.  The chain is the running-max scan of
+    extremal paths, restarted at each reset.
 
     The call holds its output, one reset flag per step and a few blocks
     (1.32 times the output at 10**6 steps, where the whole-chain scan
@@ -142,7 +145,7 @@ def ar1_simulate(
         np.less(rng.random(out=u[: n_steps - i]), spec.p, out=reset[i : i + _BLOCK])
     del u
     out = np.empty(n_steps)
-    out[0] = _sample_max(spec.marginal_law(), rng, None)
+    out[:1] = _marginal(spec, uniform_open(rng, 1))
     _innovations(spec, rng, n_steps - 1, innovation_beta, out=out[1:])
     steps = np.arange(min(n_steps, _BLOCK + 1))
     for i in range(0, n_steps - 1, _BLOCK):

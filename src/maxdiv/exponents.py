@@ -98,21 +98,18 @@ class Exponent:
 
     def _inverse_raw(self, s):
         # the x with psi(x) = s; s = +inf maps to the support bottom by IEEE limits.
-        # An array s is overwritten with the result, so callers pass arrays
-        # they allocated; a numpy scalar s (one draw) gives a new scalar.
-        # Python's ** is kept, in place or not, because np.power differs in
-        # the last bit: an array's ** turns the exponents -1, 0.5 and 2 into
-        # reciprocal, sqrt and square, and a numpy scalar's ** is libm pow
-        # where np.power may run a vector kernel.
-        out = s if np.ndim(s) else None
+        # s is a float array the caller allocated, overwritten with the result.
+        # Python's in-place ** is kept because np.power differs in the last
+        # bit: an array's ** turns the exponents -1, 0.5 and 2 into reciprocal,
+        # sqrt and square.
         if self.family is Family.FRECHET:
             s **= -1.0 / self.alpha
             return s
         if self.family is Family.WEIBULL:
             s **= 1.0 / self.alpha
-            return np.negative(s, out=out)
+            return np.negative(s, out=s)
         with np.errstate(divide="ignore"):
-            return np.negative(np.log(s, out=out), out=out)
+            return np.negative(np.log(s, out=s), out=s)
 
     def support(self) -> Support:
         if self.family is Family.FRECHET:
@@ -128,7 +125,7 @@ def _min_inside(exponent: Exponent) -> float:
     """Smallest representable x at which psi is still finite; quantile
     transforms park otherwise-unrepresentable lower-tail values here."""
     with np.errstate(over="ignore"):
-        x = float(exponent._inverse_raw(np.asarray(np.finfo(float).max)))
+        x = float(exponent._inverse_raw(np.full(1, np.finfo(float).max))[0])
     while not np.isfinite(exponent.eval(x)):
         x = np.nextafter(x, np.inf)
     return x

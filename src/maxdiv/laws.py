@@ -77,17 +77,16 @@ class _Kind:
 
     Every form overwrites the array it is given and returns it: neg_log
     and cdf get psi(x) in the buffer x was copied into (for the one-sample
-    KS test, its sorted copy of the sample), s_of_w gets out=w, the
-    draws' own buffer.  For a single draw s_of_w gets out=None and a
-    numpy scalar, and computes out of place.  Each form applies the
-    operations of its formula in the formula's order, so its results
-    equal the out-of-place formula's bit for bit (ggamma-mid's wherever
-    beta*log1p(s) is finite; see _ggamma_form).
+    KS test, its sorted copy of the sample), s_of_w gets w in the draws'
+    own buffer.  Each form applies the operations of its formula in the
+    formula's order, so its results equal the out-of-place formula's
+    bit for bit (ggamma-mid's wherever beta*log1p(s) is finite; see
+    _ggamma_form).
     """
 
     neg_log: Callable  # (s, b) -> -log F, with log1p so deep tails do not cancel
     cdf: Callable  # (s, b) -> F in closed form, not exp(-neg_log)
-    s_of_w: Callable  # (w, b, out) -> the s at which -log F = w
+    s_of_w: Callable  # (w, b) -> the s at which -log F = w
     mixing: Callable | None  # (b, rng, n) -> latent mixing times; None if there is none
     shaped: bool = True  # False: beta is pinned to 1
     gmid_scale: float | None = None  # a, when F has the form 1/(1 + a*s)
@@ -99,14 +98,14 @@ _KINDS = {
     LawKind.BASE: _Kind(
         neg_log=lambda s, b: s,
         cdf=lambda s, b: np.exp(np.negative(s, out=s), out=s),
-        s_of_w=lambda w, b, out: w,
+        s_of_w=lambda w, b: w,
         mixing=None,
         shaped=False,
     ),
     LawKind.GMID: _Kind(
         neg_log=lambda s, b: np.log1p(s, out=s),
         cdf=lambda s, b: np.divide(1.0, np.add(1.0, s, out=s), out=s),
-        s_of_w=lambda w, b, out: np.expm1(w, out=out),
+        s_of_w=lambda w, b: np.expm1(w, out=w),
         mixing=lambda b, rng, n: rng.standard_exponential(n),
         shaped=False,
         gmid_scale=1.0,
@@ -114,13 +113,13 @@ _KINDS = {
     LawKind.GAMMA_MID: _Kind(
         neg_log=lambda s, b: np.multiply(b, np.log1p(s, out=s), out=s),
         cdf=lambda s, b: np.exp(np.multiply(-b, np.log1p(s, out=s), out=s), out=s),
-        s_of_w=lambda w, b, out: np.expm1(np.divide(w, b, out=out), out=out),
+        s_of_w=lambda w, b: np.expm1(np.divide(w, b, out=w), out=w),
         mixing=lambda b, rng, n: rng.standard_gamma(b, n),
     ),
     LawKind.GGAMMA_MID: _Kind(
         neg_log=lambda s, b: _ggamma_form(s, b, lambda y: np.log1p(y, out=y), lambda log_y: log_y),
         cdf=lambda s, b: _ggamma_form(s, b, lambda y: np.divide(1.0, np.add(1.0, y, out=y), out=y), lambda log_y: np.exp(-log_y)),
-        s_of_w=lambda w, b, out: np.expm1(np.divide(np.expm1(w, out=out), b, out=out), out=out),
+        s_of_w=lambda w, b: np.expm1(np.divide(np.expm1(w, out=w), b, out=w), out=w),
         mixing=lambda b, rng, n: sample_ggamma(b, rng, n),
     ),
 }
@@ -215,35 +214,29 @@ def _quantile_w(law: MaxLaw, w, k=None):
     k, the quantile of F**k, i.e. of law at u = exp(-w/k).
 
     w is a float array the caller allocated, which is overwritten with
-    the result, or a numpy scalar (one draw), whose result is a new
-    numpy scalar.  Working in w keeps the transform stable when u is
+    the result.  Working in w keeps the transform stable when u is
     close to either endpoint.  Quantiles beyond float range are mapped
     to the closest representable point strictly above the support
     bottom, so samples never sit on the bottom itself and empirical
     d.f.s stay aligned with the law's d.f. at the smallest
     representable values.
     """
-    w = np.asarray(w, dtype=float)
-    out = w if w.ndim else None
     with np.errstate(over="ignore", divide="ignore"):
         if k is not None:
-            w = np.divide(w, k, out=out)
-        s = _KINDS[law.kind].s_of_w(w, law.beta, out)
+            np.divide(w, k, out=w)
+        s = _KINDS[law.kind].s_of_w(w, law.beta)
         x = law.exponent._inverse_raw(s)
     return _nudge_off_bottom(law.exponent, x)
 
 
 def _neg_log(u):
-    """-log(u) in the buffer of u, a float array the caller allocated; a
-    new numpy scalar for a numpy scalar u (one draw)."""
-    if not np.ndim(u):
-        return -np.log(u)
+    """-log(u) in the buffer of u, a float array the caller allocated."""
     return np.negative(np.log(u, out=u), out=u)
 
 
-def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None, out=None):
-    """n draws (one numpy scalar when n is None) of the maximum of k
-    i.i.d. draws from law, i.e. of F**k; k = None stands for k = 1.
+def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int, k=None, out=None):
+    """n draws of the maximum of k i.i.d. draws from law, i.e. of F**k;
+    k = None stands for k = 1.
 
     k is a positive real, or a float64 array of n of them that the
     caller has just drawn (mixing times, interval lengths, look-back
@@ -259,15 +252,7 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int | None, k=None, ou
     uniform_open(rng, n): exact zeros are redrawn after the last block,
     in uniform_open's order, so seeded draws do not depend on the block
     size.
-
-    The single draw stays in numpy scalars, not a one-element array:
-    ar1_simulate's X_0 is one, and a scalar's ** (libm pow) differs in
-    the last bit from an array's (numpy's own kernels) for ~1.8% of
-    draws, while the transform's other ufuncs agree (README, "Numerical
-    notes").
     """
-    if n is None:
-        return _quantile_w(law, _neg_log(uniform_open(rng)), k)
     per_draw = np.ndim(k) > 0
     out = k if per_draw else np.empty(n) if out is None else out
     block = np.empty(min(n, _BLOCK))
@@ -292,8 +277,6 @@ def _nudge_off_bottom(exponent: Exponent, x):
     collapsed = x == exponent.support().lower
     if not np.any(collapsed):
         return x
-    if not np.ndim(x):
-        return _min_inside(exponent)
     x[collapsed] = _min_inside(exponent)
     return x
 

@@ -53,18 +53,13 @@ def _index(value) -> int:
     return index
 
 
-def uniform_open(rng: np.random.Generator, size: int | None = None):
-    """Uniform draws restricted to the open interval (0, 1).
+def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
+    """size uniform draws restricted to the open interval (0, 1).
 
     numpy's random() covers [0, 1); exact zeros are redrawn because the
     quantile transforms used downstream are undefined at u = 0.  size
-    is a whole number >= 1, giving a 1-d array; None gives one float.
+    is a whole number >= 1, giving a 1-d array.
     """
-    if size is None:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return u
     u = rng.random(positive_integer(size, "size"))
     zero = u == 0.0
     while np.any(zero):

@@ -44,7 +44,7 @@ def _innovation_law(spec, innovation_beta):
 def simulate_by_steps(spec, n_steps, rng, innovation_beta=None):
     """ar1_simulate's draws in its order, then a Python loop of ar1_step."""
     u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
-    x0 = float(_sample_max(spec.marginal_law(), rng, None))
+    x0 = _sample_max(spec.marginal_law(), rng, 1)[0]
     eps = _sample_max(_innovation_law(spec, innovation_beta), rng, n_steps - 1) if n_steps > 1 else np.empty(0)
     out = np.empty(n_steps)
     out[0] = x0
@@ -199,6 +199,19 @@ def test_ensemble_lag_zero_is_the_start():
     spec = Ar1Spec(0.5, 1.0, E1)
     start = _sample_max(spec.marginal_law(), RandomSource(1, 50).generator(), 10)
     np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(1, 50).generator(), 10), start)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Ar1Spec(0.3, 2.0, frechet(1.7)), Ar1Spec(0.3, 2.0, weibull(1.7)), Ar1Spec(0.3, 2.0, E1), Ar1Spec(0.3, 2.0, gumbel())],
+    ids=["frechet-1.7", "weibull-1.7", "frechet-1", "gumbel"],
+)
+def test_a_one_step_chain_is_the_lag_zero_ensemble_to_the_bit(spec):
+    # both samplers draw X_0 by one transform of one open uniform
+    for seed in range(300):
+        chain = ar1_simulate(spec, 1, RandomSource(seed).generator())
+        start = ar1_ensemble(spec, 0, RandomSource(seed).generator(), 1)
+        assert chain.tobytes() == start.tobytes(), seed
 
 
 def test_simulate_shape_and_determinism():

@@ -166,7 +166,7 @@ def whole_array_ar1_simulate(spec, n_steps, rng):
     """Every reset uniform at once, then X_0 and the innovations, then one
     scan of the whole chain with the steps since the last reset."""
     u = rng.random(n_steps - 1)
-    x0 = float(_sample_max(spec.marginal_law(), rng, None))
+    x0 = _sample_max(spec.marginal_law(), rng, 1)[0]
     eps = whole_array_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, n_steps - 1) if n_steps > 1 else []
     steps = np.arange(n_steps)
     last_reset = np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))

@@ -56,7 +56,7 @@ MATRIX = (
     "ar1 --p 0.5 --beta 1 --innovation-beta 2 --check --seed 5",
     f"verify all --seed 42 --out {OUT}",
     # alpha 1 and 2 reach numpy's reciprocal and square shortcuts for **; these
-    # rows take the general pow kernel, in arrays and in single numpy scalars
+    # rows take the general pow kernel
     "sample --kind base --alpha 1.7 --n 20000 --seed 11 --route inverse",
     "sample --kind ggamma-mid --alpha 1.7 --beta 0.5 --n 20000 --seed 11 --route inverse",
     "sample --kind ggamma-mid --alpha 1.7 --beta 0.5 --n 20000 --seed 11 --route latent",
@@ -132,6 +132,17 @@ for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
     spec = maxdiv.Ar1Spec(0.01, 0.5, exponent)
     draws = maxdiv.ar1_ensemble(spec, 100, maxdiv.RandomSource(7).generator(), 20000)
     sys.stdout.buffer.write(draws.tobytes())
+""",
+    # X_0 alone, which the ar1 --steps rows print once per seed: at alpha 1.7 its
+    # last bit depends on the pow kernel (scalar or array, AVX2 or AVX-512) for
+    # a few percent of the seeds
+    "ar1_simulate X_0 over seeds 0..299 at Frechet and Weibull alpha 1.7": """
+import sys
+import maxdiv
+for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
+    spec = maxdiv.Ar1Spec(0.3, 2.0, exponent)
+    for seed in range(300):
+        sys.stdout.buffer.write(maxdiv.ar1_simulate(spec, 1, maxdiv.RandomSource(seed).generator()).tobytes())
 """,
     # the look-back G on both sides of numpy's switch from inversion to its
     # search at p = 1/3, at 0.7, whose search table stops short of the largest
