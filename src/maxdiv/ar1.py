@@ -38,19 +38,18 @@ time; the ensemble an index and X_0's uniform for each chain with
 G > L, as it draws G a block at a time and writes the counts min(G, L)
 over X_0's uniforms, whose buffer becomes the output.
 
-G is drawn as numpy's Generator.geometric draws it, to the bit and
-from the same variates, but a block at a time where numpy loops over
-the elements (_geometric): below p = 1/3 by inversion of exponential
-variates, from p = 1/3 up by looking each uniform up in numpy's table
-of partial sums P(G <= x).
+G is drawn by one exact inversion for every p, G = max(1,
+ceil(E / -log1p(-p))) of an exponential variate E (_geometric; Devroye,
+Non-Uniform Random Variate Generation, 1986), and kept as a
+float64: the ensemble reads only min(G, L) and whether G > L.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,81 +156,25 @@ def ar1_simulate(
     return out
 
 
-# look-back counts drawn per block: 64 KB of int64, which the heap hands
+# look-back counts drawn per block: 64 KB of float64, which the heap hands
 # out again to the next block, where a _BLOCK of them (512 KB) is mapped
 # fresh and faulted in every time
 _COUNT_BLOCK = 2**13
 
-# numpy's Generator.geometric searches from this p up and inverts below it
-# (the literal of its C source, the same double as 1/3)
-_SEARCH_FROM = 0.333333333333333333333333
-_LARGEST_UNIFORM = 1.0 - 2.0**-53  # of rng.random
-_BUCKETS = 2**10  # of the uniforms' range, in the search's guide
-
-
-@lru_cache(maxsize=16)
-def _search_table(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """numpy's partial sums for geometric(p), and a guide to them by
-    the uniform's bucket [k, k + 1) / _BUCKETS.
-
-    sums[x], for x >= 1, is P(G <= x) summed as numpy sums it (prod *= q;
-    sum += prod), between -inf at 0 and inf at the end.  The sums end
-    where they reach the largest uniform (53 of them at p = 0.5, 89 at
-    1/3) or stop growing short of it (31 at p = 0.7, the last
-    0.9999999999999997): numpy's loop never ends for the uniforms
-    above, and the lookup gives them the count after the last sum.
-
-    first[k] is G at bucket k's lower edge, and below[k] its sum.  Below
-    the first bucket whose upper edge has a G beyond first[k] + 1, where
-    the sums lie closer than a bucket (u >= searched_from: 0.1% of the
-    uniforms at p = 0.5 and 0.9), below[k] alone decides G.
-    """
-    q = 1.0 - p
-    total = prod = p
-    sums = [-math.inf, total]
-    while total < _LARGEST_UNIFORM:
-        prod *= q
-        if total + prod == total:
-            break
-        total += prod
-        sums.append(total)
-    sums = np.array(sums + [math.inf])
-    at_edges = np.searchsorted(sums, np.arange(_BUCKETS + 1) / _BUCKETS)
-    crowded = np.flatnonzero(at_edges[1:] > at_edges[:-1] + 1)
-    first = at_edges[:-1]
-    tables = (sums, first, sums[first])
-    for table in tables:  # every caller shares them
-        table.setflags(write=False)
-    return *tables, crowded[0] / _BUCKETS if crowded.size else 1.0
-
 
 def _geometric(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
-    """rng.geometric(p, n) for p in (0, 1): the same int64 values from
-    the same variates, so the generator is left where numpy leaves it,
-    but computed a block at a time where numpy loops over the elements.
+    """n look-back counts G ~ geometric(p) on {1, 2, ...}, as float64.
 
-    Below 1/3, numpy's inversion ceil(E / -log1p(-p)) of exponential
-    variates E, INT64_MAX from 2**63 up.  From 1/3 up, numpy's search:
-    G is the smallest x whose partial sum is >= the uniform u, read
-    from the guide of u's bucket, or searched for near 1.
+    G = ceil(E / -log1p(-p)) of exponential variates E, the exact
+    inversion P(G > g) = exp(-g * -log1p(-p)) = (1-p)**g, and at least 1,
+    which the inversion misses only at E = 0.  A count past float range
+    (p subnormal) is inf, past every lag, without an overflow warning.
     """
-    if p < _SEARCH_FROM:
-        g = rng.standard_exponential(n)
+    g = rng.standard_exponential(n)
+    with np.errstate(over="ignore"):
         np.divide(g, -math.log1p(-p), out=g)
-        np.ceil(g, out=g)
-        wide = g >= 2.0**63  # which a cast would wrap
-        g[wide] = 0.0
-        back = g.astype(np.int64)
-        back[wide] = np.iinfo(np.int64).max
-        return back
-    sums, first, below, searched_from = _search_table(p)
-    u = rng.random(n)
-    bucket = (u * _BUCKETS).astype(np.intp)  # exact, as _BUCKETS is a power of 2
-    back = first[bucket]
-    back += u > below[bucket]
-    near_one = np.flatnonzero(u >= searched_from)
-    back[near_one] = np.searchsorted(sums, u[near_one])
-    return back
+    np.ceil(g, out=g)
+    return np.maximum(g, 1.0, out=g)
 
 
 def ar1_ensemble(
@@ -249,24 +192,26 @@ def ar1_ensemble(
     reset, and one draw of the maximum of min(G, lag) innovations, which
     X_0 joins where G > lag: at most three variates per chain, whatever
     the lag.  X_0 is read only where G > lag.  So G is drawn
-    _COUNT_BLOCK at a time by _geometric, in numpy's two regimes (the
-    same draws as one rng.geometric call, without numpy's loop over the
-    elements: 0.5-0.6 and 0.35-0.5 times its time at p = 0.2 and 0.5,
-    1.09 at 0.9); each block keeps the X_0 uniforms of its chains with G > lag,
-    with their indices, and then writes min(G, lag) as float64 over its X_0
-    uniforms.  That buffer receives the draws, and the kept uniforms are
-    turned into marginal draws and joined in; every value is the one
-    that transforming all of them would give.  Beside the output the
-    call holds a few blocks and, where G > lag, an index and a uniform
-    per chain: 1.13 times the output at p = 0.5 and lag 100, 1.81 at
-    p = 0.01, where 37% of the chains keep X_0 (2.13 and 2.73 when all
-    of G was drawn at once beside every X_0 uniform).  G is an int64,
-    so every lag from 2**63 - 1 up draws the same values.
+    _COUNT_BLOCK at a time by _geometric; each block keeps the X_0
+    uniforms of its chains with G > lag, with their indices, and then
+    writes min(G, lag) over its X_0 uniforms.  That buffer receives the
+    draws, and the kept uniforms are turned into marginal draws and
+    joined in; every value is the one that transforming all of them
+    would give.  Beside the output the call holds a few blocks and,
+    where G > lag, an index and a uniform per chain: 1.13 times the
+    output at p = 0.5 and lag 100, 1.81 at p = 0.01, where 37% of the
+    chains keep X_0.
+
+    Every whole lag >= 0 is accepted.  G and lag are compared as
+    float64: lag is read as the nearest float64, or as the largest one
+    beyond float range, so lags from 2**53 up are rounded.  A count past
+    the lag joins X_0 whatever its size: at p = 1e-300, G is ~1e300 and
+    every chain joins X_0 at lag 2**63 - 1, but none at lag 10**400.
     """
-    # index() rejects a float lag (a fractional innovation count); numpy, an int beyond int64
-    lag = min(operator.index(lag), np.iinfo(np.int64).max)
+    lag = operator.index(lag)  # rejects a float lag: a fractional innovation count
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
+    lag = float(min(lag, sys.float_info.max))
     n_chains = positive_integer(n_chains, "n_chains")
     x = uniform_open(rng, n_chains)
     if lag == 0:
@@ -278,7 +223,7 @@ def ar1_ensemble(
         no_reset = np.flatnonzero(back > lag)
         if no_reset.size:
             joins.append((no_reset + i, block[no_reset]))
-        np.minimum(back, lag, out=block, dtype=float)
+        np.minimum(back, lag, out=block)
     x = _innovations(spec, rng, n_chains, innovation_beta, k=x)
     for no_reset, u0 in joins:
         x[no_reset] = np.maximum(x[no_reset], _marginal(spec, u0))

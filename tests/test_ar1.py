@@ -18,10 +18,11 @@ from maxdiv import (
     quantile_grid,
     weibull,
 )
-from maxdiv.ar1 import _COUNT_BLOCK, _geometric, _search_table
+from maxdiv.ar1 import _geometric
 from maxdiv.extremal import _running_max
 from maxdiv.ksstats import critical_two_sample
 from maxdiv.laws import _sample_max
+from maxdiv.rng import uniform_open
 
 E1 = frechet(1.0)
 
@@ -290,53 +291,81 @@ def test_ensemble_validation():
         ar1_ensemble(spec, 10, rng, 100, 2.0)
 
 
-# -- the look-back draw: numpy's Generator.geometric, without its loop --
+# -- the look-back draw: G = max(1, ceil(E / -log1p(-p))) for every p --
 
-# both sides of numpy's switch from inversion to its search, at 1/3, the
-# extremes of each regime, and 1e-300, where numpy clamps to INT64_MAX
-GEOMETRIC_PS = [1e-300, 1e-9, 0.01, 0.2, np.nextafter(1 / 3, 0), 1 / 3, np.nextafter(1 / 3, 1), 0.5, 0.7, 0.9, 1 - 1e-12]
+LOOK_BACK_PS = [0.01, 0.2, 1 / 3, 0.5, 0.7, 0.9]
 
 
-@pytest.mark.parametrize("p", GEOMETRIC_PS)
-def test_geometric_draws_numpys_values_from_numpys_variates(p):
-    # one draw, one look-back block and one over: the same values, and the
-    # generator left where numpy leaves it
-    for seed in range(20):
-        for n in (1, _COUNT_BLOCK, _COUNT_BLOCK + 1):
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _geometric(new, p, n)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, old.geometric(p, n))
-            assert new.random() == old.random()
+@pytest.mark.parametrize("p", LOOK_BACK_PS)
+def test_look_back_counts_are_equal_in_law_to_numpys_geometric(p):
+    # two-sample KS at the 1% level (conservative for a discrete law) over
+    # seeds 0..9 at n = 10**5, the two sides drawn from different streams:
+    # at most one seed of ten may reject, as for the registry's checks
+    rejected = 0
+    for seed in range(10):
+        counts = _geometric(RandomSource(seed, 60).generator(), p, 10**5)
+        assert counts.dtype == np.float64
+        rejected += not ks_two_sample(counts, RandomSource(seed, 61).generator().geometric(p, 10**5)).passed
+    assert rejected <= 1
 
 
-class _Uniforms:
-    """A generator whose rng.random(n) returns the given uniforms."""
-
-    def __init__(self, u):
-        self.u = np.array(u)
-
-    def random(self, n):
-        assert n == self.u.size
-        return self.u.copy()
-
-
-def test_geometric_search_ends_past_a_table_that_stops_short():
-    # at p = 0.7 numpy's partial sums stop growing at 0.9999999999999997,
-    # below the two largest uniforms, for which numpy's loop never ends;
-    # the lookup gives them the table length + 1.  A uniform equal to a
-    # partial sum takes that sum's count, and u = 0 takes 1
-    sums = _search_table(0.7)[0]
-    table = sums[np.isfinite(sums)]
-    assert table.size == 31 and table[-1] == 0.9999999999999997
-    top = 1.0 - 2.0**-53
-    u = [0.0, table[0], np.nextafter(table[0], 1), table[-1], np.nextafter(table[-1], 1), top]
-    np.testing.assert_array_equal(_geometric(_Uniforms(u), 0.7, len(u)), [1, 1, 2, 31, 32, 32])
+@pytest.mark.parametrize("p", LOOK_BACK_PS)
+def test_look_back_tail_frequencies_are_powers_of_one_minus_p(p):
+    # the share of G > g is binomial(n, (1-p)**g) / n: within 5 standard
+    # deviations at every g where (1-p)**g >= 1e-3
+    n = 10**6
+    counts = _geometric(RandomSource(7, 62).generator(), p, n)
+    assert counts.min() == 1 and np.all(counts == np.floor(counts))
+    for g in (1, 2, 3, 5, 10, 30, 100, 300):
+        tail = (1 - p) ** g
+        if tail >= 1e-3:
+            assert abs(np.mean(counts > g) - tail) <= 5 * np.sqrt(tail * (1 - tail) / n), g
 
 
-def test_lags_beyond_the_int64_range_draw_as_its_largest_lag():
-    # the look-back G is an int64, so it exceeds no lag from 2**63 - 1 up
+class _ZeroExponentials:
+    """A generator whose standard_exponential draws exact zeros; all else passes through."""
+
+    def __init__(self, seed):
+        self._rng = RandomSource(seed, 63).generator()
+
+    def standard_exponential(self, n):
+        return np.zeros(n)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.9])
+def test_an_exponential_variate_of_zero_looks_back_one_step(p):
+    # ceil(0 / -log1p(-p)) is 0, which would draw the maximum of no
+    # innovations, the bottom of the support; a count is at least 1, so
+    # the chain draws one innovation
+    np.testing.assert_array_equal(_geometric(_ZeroExponentials(0), p, 5), np.ones(5))
+    spec = Ar1Spec(p, 0.5, frechet(1.7))
+    rng = RandomSource(0, 63).generator()
+    uniform_open(rng, 1000)  # X_0's uniforms
+    expected = ggamma_mid(spec.innovation_beta, spec.exponent).sample_inverse(rng, 1000)
+    assert ar1_ensemble(spec, 100, _ZeroExponentials(0), 1000).tobytes() == expected.tobytes()
+
+
+def test_a_look_back_past_the_lag_joins_x0_at_every_lag_it_passes():
+    # at p = 1e-300 every G is ~1e300: past lags 2**63 - 1 to 2**70, where
+    # each chain keeps X_0 (the 2**63 innovations of shape 1.5e-300 lie
+    # below it), but short of 10**400, read as the largest float, where
+    # no chain does.  At p = 0.3 no count comes near these lags, so they
+    # all draw the same values
+    spec = Ar1Spec(1e-300, 1.5, frechet(1.7))
+    x0 = ar1_ensemble(spec, 0, RandomSource(0, 53).generator(), 1000)
+    for lag in (2**63 - 1, 2**63, 2**70):
+        assert ar1_ensemble(spec, lag, RandomSource(0, 53).generator(), 1000).tobytes() == x0.tobytes()
+    assert np.any(ar1_ensemble(spec, 10**400, RandomSource(0, 53).generator(), 1000) < x0)
+    # at the smallest subnormal p nearly every count is past float range:
+    # inf, with no overflow warning, and past even 10**400
+    spec = Ar1Spec(5e-324, 1.5, frechet(1.7))
+    assert np.isinf(_geometric(RandomSource(0, 53).generator(), spec.p, 1000)).sum() > 990
+    x0 = ar1_ensemble(spec, 0, RandomSource(0, 53).generator(), 1000)
+    assert np.all(ar1_ensemble(spec, 10**400, RandomSource(0, 53).generator(), 1000) >= x0)
     spec = Ar1Spec(0.3, 0.5, frechet(1.7))
     largest = ar1_ensemble(spec, 2**63 - 1, RandomSource(0, 53).generator(), 1000)
-    for lag in (2**63, 2**70):
+    for lag in (2**63, 2**70, 10**400):
         assert ar1_ensemble(spec, lag, RandomSource(0, 53).generator(), 1000).tobytes() == largest.tobytes()

@@ -6,7 +6,7 @@ and sample_ggamma its gammas likewise; a caller's freshly drawn mixing
 times become the output.  The max-AR(1) samplers keep one reset flag
 per step, or X_0's uniforms where no reset happened, beside their
 output.  The whole-array samplers they replaced stay here as the
-oracles.
+oracles, but for ar1_ensemble's, which is in oracles.py.
 """
 
 import tracemalloc
@@ -40,6 +40,8 @@ from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.extremal import _running_max
 from maxdiv.laws import _BLOCK, _neg_log, _quantile_w, _sample_max
 from maxdiv.rng import uniform_open
+
+from oracles import reference_ar1_ensemble
 
 # the first block alone, one short of a block, one block, one over, and
 # three blocks with a last block of one draw
@@ -173,14 +175,6 @@ def whole_array_ar1_simulate(spec, n_steps, rng):
     return _running_max(np.concatenate(([x0], eps)), since=steps - last_reset)
 
 
-def whole_array_ar1_ensemble(spec, lag, rng, n):
-    """Every X_0 and the float counts held whole beside the output."""
-    u0 = uniform_open(rng, n)
-    back = rng.geometric(spec.p, n)
-    x = whole_array_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, n, np.minimum(back, lag, dtype=float))
-    return np.where(back > lag, np.maximum(x, _quantile_w(spec.marginal_law(), _neg_log(u0))), x)
-
-
 CHAIN_SPECS = [Ar1Spec(1e-9, 1.5, frechet(1.7)), Ar1Spec(0.01, 0.5, weibull(1.7)), Ar1Spec(0.5, 2.0, gumbel())]
 
 
@@ -223,7 +217,7 @@ def test_ensemble_counts_turned_by_blocks_equal_the_whole_array_sampler(n):
         spec = Ar1Spec(p, 0.5, frechet(1.7))
         new, old = twins(i)
         got = ar1_ensemble(spec, lag, new, n)
-        np.testing.assert_array_equal(bits(got), bits(whole_array_ar1_ensemble(spec, lag, old, n)))
+        np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, old, n)))
         assert new.random(4).tobytes() == old.random(4).tobytes()
 
 

@@ -47,55 +47,10 @@ from maxdiv import (
 from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.exponents import Family
 from maxdiv.laws import _KINDS, _sample_max
-from maxdiv.rng import uniform_open
 
-# -- out-of-place reference: every step allocates its result ---------------
+from oracles import min_inside, reference_ar1_ensemble, reference_sample_max
 
-_S_OF_W = {
-    LawKind.BASE: lambda w, b: w,
-    LawKind.GMID: lambda w, b: np.expm1(w),
-    LawKind.GAMMA_MID: lambda w, b: np.expm1(w / b),
-    LawKind.GGAMMA_MID: lambda w, b: np.expm1(np.expm1(w) / b),
-}
-
-
-def _inverse(exponent, s):
-    if exponent.family is Family.FRECHET:
-        return s ** (-1.0 / exponent.alpha)
-    if exponent.family is Family.WEIBULL:
-        return -(s ** (1.0 / exponent.alpha))
-    with np.errstate(divide="ignore"):
-        return -np.log(s)
-
-
-def _min_inside(exponent):
-    with np.errstate(over="ignore"):
-        x = float(_inverse(exponent, np.asarray(np.finfo(float).max)))
-    while not np.isfinite(exponent.eval(x)):
-        x = np.nextafter(x, np.inf)
-    return x
-
-
-def reference_sample_max(law, rng, n, k=None):
-    """-log(uniform_open) -> /k -> s_of_w -> inverse -> nudge, out of place."""
-    w = -np.log(uniform_open(rng, n))
-    with np.errstate(over="ignore", divide="ignore"):
-        if k is not None:
-            w = w / k
-        x = _inverse(law.exponent, _S_OF_W[law.kind](w, law.beta))
-    collapsed = x == law.exponent.support().lower
-    return np.where(collapsed, _min_inside(law.exponent), x) if np.any(collapsed) else x
-
-
-def reference_ar1_ensemble(spec, lag, rng, n_chains, innovation_beta=None):
-    x0 = reference_sample_max(spec.marginal_law(), rng, n_chains)
-    if lag == 0:
-        return x0
-    back = rng.geometric(spec.p, n_chains)
-    beta = spec.innovation_beta if innovation_beta is None else innovation_beta
-    # the counts stay int64 here, where ar1_ensemble passes them as float64
-    x = reference_sample_max(ggamma_mid(beta, spec.exponent), rng, n_chains, np.minimum(back, lag))
-    return np.where(back > lag, np.maximum(x, x0), x)
+# -- out-of-place references: every step allocates its result (oracles.py) --
 
 
 def reference_ep_ensemble(spec, times, rng, n):
@@ -196,12 +151,11 @@ def test_ar1_ensemble_joins_x0_where_no_reset_happened(p, lag, exponent, innovat
     np.testing.assert_array_equal(bits(got), bits(reference_ar1_ensemble(spec, lag, ref, JOIN_CHAINS, innovation_beta)))
 
 
-# At p = 1e-300, ceil(E / -log1p(-p)) is past 2**63 for every chain, where
-# numpy's geometric returns INT64_MAX: beyond lag 100, so every chain joins
-# X_0, and equal to lag 2**63 - 1, so none does.  A cast that wraps those
-# counts to INT64_MIN draws NaN for every chain.
-@pytest.mark.parametrize("lag", [100, 2**63 - 1])
-def test_ar1_ensemble_clamps_the_look_back_as_numpy_does(lag):
+# At p = 1e-300 every look-back count G is ~1e300, past 2**63, where a
+# cast to int64 would wrap, and past every lag but 10**400, which is past
+# float range: there no chain joins X_0.  Lags from 2**63 up must not raise.
+@pytest.mark.parametrize("lag", [100, 2**63 - 1, 2**70, 10**400], ids=["100", "2**63-1", "2**70", "10**400"])
+def test_ar1_ensemble_past_the_int64_range_equals_the_out_of_place_reference(lag):
     spec = Ar1Spec(1e-300, 1.5, frechet(1.7))
     new, ref = rngs(5)
     got = ar1_ensemble(spec, lag, new, 1000)
@@ -248,7 +202,7 @@ def edge_points(exponent):
     """Signed zeros, the smallest inside point and its neighbour, the
     infinities, and points outside the support."""
     outside = {Family.FRECHET: [-1.0, -1e-300], Family.WEIBULL: [1.0, 1e-300], Family.GUMBEL: []}
-    bottom = _min_inside(exponent)
+    bottom = min_inside(exponent)
     return [-0.0, 0.0, bottom, np.nextafter(bottom, np.inf), -np.inf, np.inf, *outside[exponent.family]]
 
 

@@ -23,12 +23,16 @@ from maxdiv import (
     frechet,
     gamma_mid,
     ggamma_mid,
+    gumbel,
+    innovation_cdf_from_marginal,
     ks_one_sample,
+    limit_geo_gamma_cdf,
     n_max_cdf,
     quantile_grid,
     report_to_dict,
     verify,
     verify_all,
+    weibull,
 )
 
 from maxdiv.laws import _BLOCK
@@ -207,6 +211,91 @@ def test_t2_4_cannot_see_the_rate(monkeypatch):
     report = verify("T2_4", seed=0)
     assert report.passed, format_report(report)
     assert "sup@n10000=5.869e-05" in report.detail  # 2.707e-05 for the real scheme
+
+
+# T2_3's scheme F_n = 1/(1 + n expm1(y/n)), y = beta log1p(psi), tends to
+# F = 1/(1 + y).  With u = F, y = (1 - u)/u and n expm1(y/n) = y + y**2/(2n)
+# + y**3/(6n**2) + ..., so
+#     n (F - F_n) = (1 - u)**2/2 + K(u)/n + O(1/n**2),
+#     K(u) = ((1 - u)**3/u) (1/6 - (1 - u)/4),
+# K(0.001) = -82.8.  The remainder is largest at the grid's lower edge,
+# where y/n is not small: 1,275/n**2 at u = 0.001 and n = 10**3, 56/n**2 at
+# n = 10**4 (beta = 2; at beta 0.5 and 1 the grid starts higher, at the
+# float floor).  C = 2000 bounds both.
+T2_3_RATE_C = 2000
+
+
+def t2_3_rate_error(scheme_beta, beta, n):
+    """sup |n (F - F_n) - (1 - u)**2/2 - K(u)/n| over the registry's grid, u = F(x),
+    F_n the scheme at shape scheme_beta."""
+    target = ggamma_mid(beta, E1)
+    grid = quantile_grid(target)
+    u = target.cdf(grid)
+    k = (1 - u) ** 3 / u * (1 / 6 - (1 - u) / 4)
+    return float(np.max(np.abs(n * (u - limit_geo_gamma_cdf(scheme_beta, n, E1, grid)) - (1 - u) ** 2 / 2 - k / n)))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4])
+@pytest.mark.parametrize("beta", verify_module.BETAS)
+def test_t2_3_converges_at_its_first_order_rate(beta, n):
+    """n (F - F_n) is (1 - u)**2/2 + K(u)/n to within C/n**2, and the
+    shapes beta n/(n + 1) and beta (1 + 1/n), which converge to the same
+    limit, miss its first-order term by u (1 - u), up to 0.25."""
+    assert t2_3_rate_error(beta, beta, n) <= T2_3_RATE_C / n**2
+    for wrong in (beta * n / (n + 1), beta * (1 + 1 / n)):
+        assert t2_3_rate_error(wrong, beta, n) > 0.24
+
+
+@pytest.mark.parametrize("wrong", ["n/(n+1)", "1+1/n"])
+def test_t2_3_cannot_see_the_rate(monkeypatch, wrong):
+    # what the rate test adds: the registry's monotone, below-1e-3 rule
+    # passes both wrong schemes
+    real = verify_module.limit_geo_gamma_cdf
+    factor = {"n/(n+1)": lambda n: n / (n + 1), "1+1/n": lambda n: 1 + 1 / n}[wrong]
+    monkeypatch.setattr(verify_module, "limit_geo_gamma_cdf", lambda beta, n, exponent, x: real(beta * factor(n), n, exponent, x))
+    report = verify("T2_3", seed=0)
+    assert report.passed, format_report(report)
+    expected = {"n/(n+1)": "4.919e-05", "1+1/n": "4.994e-05"}[wrong]
+    assert f"beta=1:sup@n10000={expected}" in report.detail  # 4.943e-05 for the real scheme
+
+
+# -- T3_3's exact twin: the lag-L law of ar1_ensemble's look-back draw ------
+
+
+def t3_3_lag_cdf(spec, x, innovation_beta=None):
+    """P(X_L <= x) at L = verify.AR1_LAG for the innovations ar1_ensemble draws.
+
+    The look-back G ~ geometric(p) gives X_L the d.f. F_eps**g with
+    probability p (1-p)**(g-1) for g <= L, and F_eps**L F past L:
+        p F_eps (1 - r**L)/(1 - r) + r**L F,  r = (1-p) F_eps.
+    log r = log1p(-p) - (-log F_eps) and the ratio is expm1(L log r) /
+    expm1(log r), so neither 1 - r nor 1 - r**L cancels where r is near 1
+    (small p, large x): the value is good to a few ulps there too.
+    """
+    beta = spec.innovation_beta if innovation_beta is None else innovation_beta
+    innovation, lag = ggamma_mid(beta, spec.exponent), verify_module.AR1_LAG
+    log_r = np.log1p(-spec.p) - innovation.neg_log_cdf(x)
+    return spec.p * innovation.cdf(x) * np.expm1(lag * log_r) / np.expm1(log_r) + np.exp(lag * log_r) * spec.marginal_law().cdf(x)
+
+
+@pytest.mark.parametrize("exponent", [frechet(1.0), weibull(2.0), gumbel()], ids=lambda e: e.family.value)
+def test_t3_3_exact_twin_holds_the_lag_law_to_1e_12(exponent):
+    # the innovation d.f. solves F = p F_eps + (1-p) F F_eps, and the lag-L
+    # d.f. it gives is the marginal F; an innovation shape off by 1e-9
+    # relative moves it by ~2.5e-10, and the beta/p control by ~0.33
+    for beta in verify_module.BETAS:
+        for p in verify_module.PS:
+            spec = Ar1Spec(p, beta, exponent)
+            grid = quantile_grid(spec.marginal_law())
+            f = spec.marginal_law().cdf(grid)
+            f_eps = ggamma_mid(spec.innovation_beta, exponent).cdf(grid)
+            assert np.max(np.abs(f_eps - innovation_cdf_from_marginal(f, p))) <= 1e-12
+            assert np.max(np.abs(t3_3_lag_cdf(spec, grid) - f)) <= 1e-12, (beta, p)
+            assert np.max(np.abs(t3_3_lag_cdf(spec, grid, spec.innovation_beta * (1 + 1e-9)) - f)) > 1e-12, (beta, p)
+    control = Ar1Spec(0.5, 1.0, exponent)
+    grid = quantile_grid(control.marginal_law())
+    gap = np.max(np.abs(t3_3_lag_cdf(control, grid, control.marginal_beta / control.p) - control.marginal_law().cdf(grid)))
+    assert gap > 0.3
 
 
 def _spy_ks(monkeypatch, nan_call=None):

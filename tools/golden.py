@@ -144,9 +144,9 @@ for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
     for seed in range(300):
         sys.stdout.buffer.write(maxdiv.ar1_simulate(spec, 1, maxdiv.RandomSource(seed).generator()).tobytes())
 """,
-    # the look-back G on both sides of numpy's switch from inversion to its
-    # search at p = 1/3, at 0.7, whose search table stops short of the largest
-    # uniform, and at 1e-300, where every G is numpy's clamp to INT64_MAX
+    # the look-back G = max(1, ceil(E / -log1p(-p))) on both sides of
+    # p = 1/3, below which numpy's own geometric draws the same counts, at
+    # 0.7, and at 1e-300, where every G is ~1e300, past 2**63 and the lag
     "ar1_ensemble draws at lag 100 on both sides of p = 1/3, at 0.7 and at 1e-300": """
 import sys
 import numpy as np
