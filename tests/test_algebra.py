@@ -29,6 +29,8 @@ from maxdiv import (
 )
 from maxdiv.algebra import CdfExpr
 
+from oracles import geo_max_by_counts
+
 E1 = frechet(1.0)
 BETAS = (0.5, 1.0, 2.0)
 PS = (0.2, 0.5, 0.9)
@@ -270,21 +272,12 @@ def test_geo_max_sample_of_ggamma_lands_on_the_divided_shape():
     assert report.passed, report.statistic
 
 
-def _geo_max_by_counts(law, p, rng, n):
-    # the former sampler, kept as an oracle: draw N ~ geometric(p) per
-    # output, then take the max of N inner draws (about n/p draws in all)
-    counts = rng.geometric(p, n)
-    draws = law.sample_inverse(rng, int(counts.sum()))
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.maximum.reduceat(draws, starts)
-
-
 @pytest.mark.parametrize("p", [0.5, 0.01])
 def test_geo_max_sample_matches_the_counting_oracle(p):
     law = ggamma_mid(1.5, gumbel())
     n = 20_000
     draws = geo_max_sample(law, p, RandomSource(6, 9).substream(0).generator(), n)
-    oracle = _geo_max_by_counts(law, p, RandomSource(6, 9).substream(1).generator(), n)
+    oracle = geo_max_by_counts(law, p, RandomSource(6, 9).substream(1).generator(), n)
     report = ks_two_sample(draws, oracle)
     assert report.passed, (p, report.statistic, report.critical_value)
 

@@ -21,48 +21,12 @@ from maxdiv import (
 from maxdiv.ar1 import _geometric
 from maxdiv.extremal import _running_max
 from maxdiv.ksstats import critical_two_sample
-from maxdiv.laws import _sample_max
 from maxdiv.rng import uniform_open
+
+from oracles import ar1_by_steps, ar1_step, lockstep_ar1_ensemble, reference_sample_max
 
 E1 = frechet(1.0)
 
-
-# -- step-by-step oracles: the recursion as written, one value at a time --
-
-
-def ar1_step(x_prev: float, innovation: float, u: float, p: float) -> float:
-    """One transition; u is the branch uniform (u < p means reset)."""
-    if u < p:
-        return float(innovation)
-    return float(max(x_prev, innovation))
-
-
-def _innovation_law(spec, innovation_beta):
-    beta = spec.innovation_beta if innovation_beta is None else innovation_beta
-    return ggamma_mid(beta, spec.exponent)
-
-
-def simulate_by_steps(spec, n_steps, rng, innovation_beta=None):
-    """ar1_simulate's draws in its order, then a Python loop of ar1_step."""
-    u = rng.random(n_steps - 1) if n_steps > 1 else np.empty(0)
-    x0 = _sample_max(spec.marginal_law(), rng, 1)[0]
-    eps = _sample_max(_innovation_law(spec, innovation_beta), rng, n_steps - 1) if n_steps > 1 else np.empty(0)
-    out = np.empty(n_steps)
-    out[0] = x0
-    for k in range(1, n_steps):
-        out[k] = ar1_step(out[k - 1], eps[k - 1], u[k - 1], spec.p)
-    return out
-
-
-def ensemble_lockstep(spec, lag, rng, n_chains, innovation_beta=None):
-    """X_lag of n_chains chains advanced together, one transition per lag."""
-    x = _sample_max(spec.marginal_law(), rng, n_chains)
-    innovation = _innovation_law(spec, innovation_beta)
-    for _ in range(lag):
-        u = rng.random(n_chains)
-        eps = _sample_max(innovation, rng, n_chains)
-        x = np.where(u < spec.p, eps, np.maximum(x, eps))
-    return x
 
 # P{X_n < X_(n-1)} at stationarity: p/(1-p) + p^2 ln(p)/(1-p)^2,
 # frozen from a 50-digit computation
@@ -149,7 +113,7 @@ def test_simulate_is_byte_identical_to_the_step_loop(n_steps, innovation_beta):
         for p in (1e-9, 0.01, 0.5, 0.9):
             spec = Ar1Spec(p, 1.5, exponent)
             fast = ar1_simulate(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta=innovation_beta)
-            slow = simulate_by_steps(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta)
+            slow = ar1_by_steps(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta)
             assert fast.tobytes() == slow.tobytes(), (exponent.family, p)
 
 
@@ -190,7 +154,7 @@ def test_ensemble_matches_the_lockstep_oracle(p, control):
     source = RandomSource(23, 49)
     for j, lag in enumerate(ENSEMBLE_LAGS):
         fast = ar1_ensemble(spec, lag, source.substream(2 * j).generator(), n, innovation_beta=innovation_beta)
-        slow = ensemble_lockstep(spec, lag, source.substream(2 * j + 1).generator(), n, innovation_beta)
+        slow = lockstep_ar1_ensemble(spec, lag, source.substream(2 * j + 1).generator(), n, innovation_beta)
         report = ks_two_sample(fast, slow)
         band = ENSEMBLE_C / 1.628 * critical_two_sample(n, n)
         assert report.statistic < band, (lag, report.statistic, band)
@@ -198,7 +162,7 @@ def test_ensemble_matches_the_lockstep_oracle(p, control):
 
 def test_ensemble_lag_zero_is_the_start():
     spec = Ar1Spec(0.5, 1.0, E1)
-    start = _sample_max(spec.marginal_law(), RandomSource(1, 50).generator(), 10)
+    start = reference_sample_max(spec.marginal_law(), RandomSource(1, 50).generator(), 10)
     np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(1, 50).generator(), 10), start)
 
 
@@ -344,7 +308,7 @@ def test_an_exponential_variate_of_zero_looks_back_one_step(p):
     spec = Ar1Spec(p, 0.5, frechet(1.7))
     rng = RandomSource(0, 63).generator()
     uniform_open(rng, 1000)  # X_0's uniforms
-    expected = ggamma_mid(spec.innovation_beta, spec.exponent).sample_inverse(rng, 1000)
+    expected = reference_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, 1000)
     assert ar1_ensemble(spec, 100, _ZeroExponentials(0), 1000).tobytes() == expected.tobytes()
 
 

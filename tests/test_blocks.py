@@ -1,12 +1,11 @@
-"""The samplers' block loop: the same bits as drawing every uniform at
-once, and memory bounded by the output plus one block.
+"""The samplers' block loops: the same bits as the whole-array
+references of oracles.py, and memory bounded by the output plus one
+block.
 
-_sample_max draws its uniforms _BLOCK at a time into one scratch block
-and sample_ggamma its gammas likewise; a caller's freshly drawn mixing
-times become the output.  The max-AR(1) samplers keep one reset flag
-per step, or X_0's uniforms where no reset happened, beside their
-output.  The whole-array samplers they replaced stay here as the
-oracles, but for ar1_ensemble's, which is in oracles.py.
+Each sampler is run at sizes on both sides of its block seams, and with
+exact-zero uniforms at a seam, against the reference that draws the
+whole call at once.  The memory tests trace each sampler's peak against
+its output.
 """
 
 import tracemalloc
@@ -17,7 +16,6 @@ import pytest
 from maxdiv import (
     Ar1Spec,
     ExtremalSpec,
-    LawKind,
     RandomSource,
     SubordinatorSpec,
     ar1_ensemble,
@@ -37,46 +35,25 @@ from maxdiv import (
     weibull,
 )
 from maxdiv.ar1 import _COUNT_BLOCK
-from maxdiv.extremal import _running_max
-from maxdiv.laws import _BLOCK, _neg_log, _quantile_w, _sample_max
-from maxdiv.rng import uniform_open
+from maxdiv.laws import _BLOCK, _sample_max
 
-from oracles import reference_ar1_ensemble
+from oracles import bits, reference_ar1_ensemble, reference_ar1_simulate, reference_mixing, reference_sample_max
 
 # the first block alone, one short of a block, one block, one over, and
 # three blocks with a last block of one draw
 SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1]
 
 
-def whole_array_sample_max(law, rng, n, k=None):
-    """Every uniform of the call at once, then the quantile transform in their buffer."""
-    return _quantile_w(law, _neg_log(uniform_open(rng, n)), k)
-
-
-def whole_array_sample_ggamma(beta, rng, n):
-    with np.errstate(over="ignore"):
-        shape = beta * rng.standard_exponential(n)
-    while np.any(shape == 0.0):
-        zero = shape == 0.0
-        shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
-    return rng.standard_gamma(shape, n)
-
-
-def whole_array_mixing(law, rng, n):
-    """law's latent mixing times as the whole-array samplers drew them."""
-    if law.kind is LawKind.GMID:
-        return rng.standard_exponential(n)
-    if law.kind is LawKind.GAMMA_MID:
-        return rng.standard_gamma(law.beta, n)
-    return whole_array_sample_ggamma(law.beta, rng, n)
-
-
-def bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
-
-
 def twins(seed):
     return RandomSource(seed, 4).generator(), RandomSource(seed, 4).generator()
+
+
+def k_twins(n, source):
+    """k for the sampler and for the reference: none, a number, and twin
+    copies of fresh float64 mixing times, which the block loop turns into
+    its output."""
+    mixing = source.generator().standard_exponential(n)
+    return [(None, None), (2.5, 2.5), (mixing, mixing.copy())]
 
 
 LAWS = [ggamma_mid(0.5, frechet(1.7)), gamma_mid(2.0, weibull(1.7)), g_mid(gumbel())]
@@ -85,19 +62,12 @@ LAWS = [ggamma_mid(0.5, frechet(1.7)), gamma_mid(2.0, weibull(1.7)), g_mid(gumbe
 @pytest.mark.parametrize("n", SIZES)
 def test_block_loop_equals_the_whole_array_sampler(n):
     for i, law in enumerate(LAWS):
-        # k as none, a scalar and fresh float64 mixing times, which the
-        # block loop turns into its output
-        for k in (None, 2.5, "mixing"):
+        for k_new, k_old in k_twins(n, RandomSource(i, 9)):
             new, old = twins(i)
-            if isinstance(k, str):
-                k_new = RandomSource(i, 9).generator().standard_exponential(n)
-                k_old = k_new.copy()
-            else:
-                k_new = k_old = k
             got = _sample_max(law, new, n, k_new)
             assert got.shape == (n,)
-            assert (got is k_new) == isinstance(k, str)
-            np.testing.assert_array_equal(bits(got), bits(whole_array_sample_max(law, old, n, k_old)))
+            assert (got is k_new) == (np.ndim(k_old) > 0)
+            np.testing.assert_array_equal(bits(got), bits(reference_sample_max(law, old, n, k_old)))
             assert new.random(4).tobytes() == old.random(4).tobytes()  # same stream position
 
 
@@ -105,17 +75,17 @@ def test_block_loop_equals_the_whole_array_sampler(n):
 def test_public_samplers_equal_the_whole_array_sampler(n):
     for i, law in enumerate(LAWS):
         new, old = twins(i)
-        np.testing.assert_array_equal(bits(law.sample_inverse(new, n)), bits(whole_array_sample_max(law, old, n)))
+        np.testing.assert_array_equal(bits(law.sample_inverse(new, n)), bits(reference_sample_max(law, old, n)))
         new, old = twins(i)
-        expected = whole_array_sample_max(base_law(law.exponent), old, n, whole_array_mixing(law, old, n))
+        expected = reference_sample_max(base_law(law.exponent), old, n, reference_mixing(law, old, n))
         np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
     spec = ExtremalSpec(base_law(frechet(1.7)))
     for sub, t, law in ((SubordinatorSpec("gamma"), 1.5, gamma_mid(1.5, frechet(1.7))), (SubordinatorSpec("ggamma", 0.5), 1.0, ggamma_mid(0.5, frechet(1.7)))):
         new, old = twins(n)
-        expected = whole_array_sample_max(spec.base, old, n, whole_array_mixing(law, old, n))
+        expected = reference_sample_max(spec.base, old, n, reference_mixing(law, old, n))
         np.testing.assert_array_equal(bits(compound_simulate(spec, sub, t, new, n)), bits(expected))
     new, old = twins(n)
-    np.testing.assert_array_equal(bits(sample_ggamma(0.7, new, n)), bits(whole_array_sample_ggamma(0.7, old, n)))
+    np.testing.assert_array_equal(bits(sample_ggamma(0.7, new, n)), bits(reference_mixing(ggamma_mid(0.7, frechet(1.7)), old, n)))
 
 
 class ZeroedUniforms:
@@ -130,12 +100,11 @@ class ZeroedUniforms:
 
     def random(self, size=None, out=None):
         u = self._rng.random(size, out=out)
-        flat = np.atleast_1d(u).reshape(-1)
-        hit = self._zero_at[(self._zero_at >= self.drawn) & (self._zero_at < self.drawn + flat.size)] - self.drawn
-        flat[hit] = 0.0
-        self.drawn += flat.size
+        hit = self._zero_at[(self._zero_at >= self.drawn) & (self._zero_at < self.drawn + u.size)] - self.drawn
+        u[hit] = 0.0
+        self.drawn += u.size
         self.zeros += hit.size
-        return flat[0] if np.ndim(u) == 0 else u
+        return u
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -147,32 +116,16 @@ def test_exact_zero_uniforms_are_redrawn_as_by_the_whole_array_sampler():
     # block; and the first redraw, which is redrawn in turn
     zero_at = [5, 70, _BLOCK - 1, _BLOCK, 3 * _BLOCK, n, n + 1]
     for law in LAWS:
-        for k in (None, 2.5, "mixing"):
+        for k_new, k_old in k_twins(n, RandomSource(2)):
             new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
-            if isinstance(k, str):
-                k_new = RandomSource(2).generator().standard_exponential(n)
-                k_old = k_new.copy()
-            else:
-                k_new = k_old = k
             got = _sample_max(law, new, n, k_new)
-            expected = whole_array_sample_max(law, old, n, k_old)
+            expected = reference_sample_max(law, old, n, k_old)
             assert new.zeros == old.zeros == len(zero_at)
             assert new.drawn == old.drawn == n + 7  # five redraws, then two
             np.testing.assert_array_equal(bits(got), bits(expected))
         new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
-        expected = whole_array_sample_max(base_law(law.exponent), old, n, whole_array_mixing(law, old, n))
+        expected = reference_sample_max(base_law(law.exponent), old, n, reference_mixing(law, old, n))
         np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
-
-
-def whole_array_ar1_simulate(spec, n_steps, rng):
-    """Every reset uniform at once, then X_0 and the innovations, then one
-    scan of the whole chain with the steps since the last reset."""
-    u = rng.random(n_steps - 1)
-    x0 = _sample_max(spec.marginal_law(), rng, 1)[0]
-    eps = whole_array_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, n_steps - 1) if n_steps > 1 else []
-    steps = np.arange(n_steps)
-    last_reset = np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))
-    return _running_max(np.concatenate(([x0], eps)), since=steps - last_reset)
 
 
 CHAIN_SPECS = [Ar1Spec(1e-9, 1.5, frechet(1.7)), Ar1Spec(0.01, 0.5, weibull(1.7)), Ar1Spec(0.5, 2.0, gumbel())]
@@ -188,7 +141,7 @@ def test_a_chain_scanned_by_blocks_equals_the_whole_chain_scan(n):
         for i, spec in enumerate(CHAIN_SPECS):
             new, old = twins(i)
             got = ar1_simulate(spec, size, new)
-            np.testing.assert_array_equal(bits(got), bits(whole_array_ar1_simulate(spec, size, old)))
+            np.testing.assert_array_equal(bits(got), bits(reference_ar1_simulate(spec, size, old)))
             assert new.random(4).tobytes() == old.random(4).tobytes()
 
 
@@ -200,7 +153,7 @@ def test_a_chain_with_exact_zero_uniforms_equals_the_whole_chain_scan():
     for spec in CHAIN_SPECS:
         new, old = ZeroedUniforms(3, zero_at), ZeroedUniforms(3, zero_at)
         got = ar1_simulate(spec, n, new)
-        np.testing.assert_array_equal(bits(got), bits(whole_array_ar1_simulate(spec, n, old)))
+        np.testing.assert_array_equal(bits(got), bits(reference_ar1_simulate(spec, n, old)))
         assert new.zeros == old.zeros == len(zero_at)
         assert new.drawn == old.drawn
 

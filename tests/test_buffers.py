@@ -1,10 +1,10 @@
 """Buffer ownership: samplers and d.f.s transform only arrays they allocated.
 
-The draw pipeline (-log U, division by k, s_of_w, inverse exponent,
-nudge off the support bottom) and the d.f. closed forms run in place on
-buffers the package allocated.  These tests hold them to two promises:
-an array a caller passes in is never written, and seeded output equals
-the out-of-place computation bit for bit.
+The samplers and d.f.s run in place on buffers the package allocated.
+These tests hold them to two promises: an array a caller passes in is
+never written, and seeded draws and d.f. values equal the out-of-place
+references of oracles.py bit for bit, so no in-place step reads a
+buffer another step has already overwritten.
 """
 
 import warnings
@@ -46,22 +46,18 @@ from maxdiv import (
 )
 from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.exponents import Family
-from maxdiv.laws import _KINDS, _sample_max
+from maxdiv.laws import _sample_max
 
-from oracles import min_inside, reference_ar1_ensemble, reference_sample_max
-
-# -- out-of-place references: every step allocates its result (oracles.py) --
-
-
-def reference_ep_ensemble(spec, times, rng, n):
-    """Every increment at once, grid-major, then a running max along the grid."""
-    dt = np.diff(times, prepend=0.0)
-    jumps = reference_sample_max(spec.base, rng, dt.size * n, np.repeat(dt, n)).reshape(dt.size, n)
-    return np.maximum.accumulate(jumps, axis=0).T
-
-
-def bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
+from oracles import (
+    KINDS,
+    bits,
+    min_inside,
+    reference_ar1_ensemble,
+    reference_ep_ensemble,
+    reference_mixing,
+    reference_psi,
+    reference_sample_max,
+)
 
 
 def laws(alpha):
@@ -85,10 +81,9 @@ def test_both_routes_equal_the_out_of_place_reference(alpha):
     for i, law in enumerate(laws(alpha)):
         new, ref = rngs(i)
         np.testing.assert_array_equal(bits(law.sample_inverse(new, 5000)), bits(reference_sample_max(law, ref, 5000)))
-        mixing = _KINDS[law.kind].mixing
-        if mixing is not None:
+        if law.kind is not LawKind.BASE:
             new, ref = rngs(i)
-            expected = reference_sample_max(base_law(law.exponent), ref, 5000, mixing(law.beta, ref, 5000))
+            expected = reference_sample_max(base_law(law.exponent), ref, 5000, reference_mixing(law, ref, 5000))
             np.testing.assert_array_equal(bits(law.sample_latent(new, 5000)), bits(expected))
 
 
@@ -165,38 +160,6 @@ def test_ar1_ensemble_past_the_int64_range_equals_the_out_of_place_reference(lag
 
 # -- the one-sample KS d.f. runs in the sorted copy --------------------------
 
-def reference_ggamma(s, b, cdf):
-    """ggamma-mid's F (cdf) or -log F at s, out of place.  Where
-    y = b*log1p(s) overflows while log1p(s) is finite, -log F = log1p(y)
-    is taken as log(b) + log(log1p(s)) and F as exp of minus that."""
-    log1p_s = np.log1p(s)
-    y = b * log1p_s
-    with np.errstate(divide="ignore"):
-        log_y = np.log(b) + np.log(log1p_s)
-    deep = np.isinf(y) & np.isfinite(log1p_s)
-    if cdf:
-        return np.where(deep, np.exp(-log_y), 1.0 / (1.0 + y))
-    return np.where(deep, log_y, np.log1p(y))
-
-
-# the d.f. as a function of s = psi(x), out of place: every step allocates its result
-_CDF_OF_S = {
-    LawKind.BASE: lambda s, b: np.exp(-s),
-    LawKind.GMID: lambda s, b: 1.0 / (1.0 + s),
-    LawKind.GAMMA_MID: lambda s, b: np.exp(-b * np.log1p(s)),
-    LawKind.GGAMMA_MID: lambda s, b: reference_ggamma(s, b, cdf=True),
-}
-
-
-def reference_psi(exponent, x):
-    """psi(x), out of place: the formula, then the limit value outside the support."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if exponent.family is Family.FRECHET:
-            return np.where(x <= 0, np.inf, np.abs(x) ** -exponent.alpha)
-        if exponent.family is Family.WEIBULL:
-            return np.where(x >= 0, 0.0, np.abs(x) ** exponent.alpha)
-        return np.abs(np.exp(-x))
-
 
 def edge_points(exponent):
     """Signed zeros, the smallest inside point and its neighbour, the
@@ -209,7 +172,7 @@ def edge_points(exponent):
 @pytest.mark.parametrize("alpha", [1.0, 1.7])
 def test_ks_one_sample_law_equals_its_cdf_callable(alpha):
     for i, law in enumerate(laws(alpha)):
-        reference = lambda x: _CDF_OF_S[law.kind](reference_psi(law.exponent, x), law.beta)
+        reference = lambda x: KINDS[law.kind].cdf(reference_psi(law.exponent, x), law.beta)
         draws = law.sample_inverse(RandomSource(i, 4).generator(), 20_000)
         edges = edge_points(law.exponent)
         for sample in (edges + list(draws[:40]), edges + list(draws), edges + [np.nan] + list(draws[:40])):
@@ -308,14 +271,6 @@ def test_a_number_gives_a_float_and_an_array_an_array(name):
 
 # -- overflow deep in the lower tail is silent ------------------------------
 
-# -log F as a function of s = psi(x), out of place
-_NEG_LOG_OF_S = {
-    LawKind.BASE: lambda s, b: s,
-    LawKind.GMID: lambda s, b: np.log1p(s),
-    LawKind.GAMMA_MID: lambda s, b: b * np.log1p(s),
-    LawKind.GGAMMA_MID: lambda s, b: reference_ggamma(s, b, cdf=False),
-}
-
 
 @pytest.mark.parametrize("beta", [0.5, 1e308])
 @pytest.mark.parametrize("exponent", [frechet(1.0), weibull(1.0), gumbel()], ids=lambda e: e.family.value)
@@ -330,7 +285,7 @@ def test_lower_tail_overflow_gives_the_ieee_limit_without_a_warning(exponent, be
         warnings.simplefilter("error")
         lt = lt_ggamma(beta, exponent.eval(x))
     with np.errstate(over="ignore"):
-        assert bits(lt) == bits(_CDF_OF_S[LawKind.GGAMMA_MID](s, beta)[0])
+        assert bits(lt) == bits(KINDS[LawKind.GGAMMA_MID].cdf(s, beta)[0])
     for law in (base_law(exponent), g_mid(exponent), gamma_mid(beta, exponent), ggamma_mid(beta, exponent)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -346,8 +301,8 @@ def test_lower_tail_overflow_gives_the_ieee_limit_without_a_warning(exponent, be
             if law.kind is LawKind.GMID:
                 got["scale_exponent"] = scale_exponent(expr_from_law(law), 2.0).cdf([x])[0]
         with np.errstate(over="ignore"):
-            f = _CDF_OF_S[law.kind](s, law.beta)[0]
-            neg_log = _NEG_LOG_OF_S[law.kind](s, law.beta)[0]
+            f = KINDS[law.kind].cdf(s, law.beta)[0]
+            neg_log = KINDS[law.kind].neg_log(s, law.beta)[0]
             expected = {
                 "cdf": f,
                 "cdf of an array": f,

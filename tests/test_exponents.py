@@ -6,6 +6,8 @@ import pytest
 from maxdiv import Exponent, Family, frechet, gumbel, weibull
 from maxdiv.exponents import Support
 
+from oracles import bits, reference_psi
+
 ALL_EXPONENTS = (frechet(1.0), frechet(2.0), weibull(1.0), weibull(2.0), gumbel())
 
 
@@ -103,25 +105,6 @@ def test_exponent_equality_and_hash():
     assert len({frechet(1.0), frechet(1.0), gumbel()}) == 2
 
 
-def _masked_eval(exponent, x):
-    """The gather/scatter form of psi: the formula on the support only,
-    the limit value elsewhere, and NaN written over every NaN input."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    with np.errstate(over="ignore"):
-        if exponent.family is Family.FRECHET:
-            out = np.full(xs.shape, np.inf)
-            pos = xs > 0
-            out[pos] = xs[pos] ** -exponent.alpha
-        elif exponent.family is Family.WEIBULL:
-            out = np.zeros(xs.shape)
-            neg = xs < 0
-            out[neg] = (-xs[neg]) ** exponent.alpha
-        else:
-            out = np.exp(-xs)
-    out[np.isnan(xs)] = np.nan
-    return out
-
-
 TINY = np.finfo(float).tiny
 HUGE = np.finfo(float).max
 EDGES = np.array(
@@ -133,9 +116,9 @@ EDGES = np.array(
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.0])
 @pytest.mark.parametrize("make", [frechet, weibull, lambda alpha: gumbel()])
 def test_eval_equals_the_masked_formula_bit_for_bit(make, alpha):
-    # 1 and 2 take numpy's reciprocal/square shortcuts, 0.5 sqrt, 1.7 the general pow
+    # 1 and 2 take numpy's reciprocal/square shortcuts, 0.5 sqrt, 1.7 the
+    # general pow; every NaN gives the positive NaN
     e = make(alpha)
-    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
-    np.testing.assert_array_equal(bits(e.eval(EDGES)), bits(_masked_eval(e, EDGES)))
+    np.testing.assert_array_equal(bits(e.eval(EDGES)), bits(reference_psi(e, EDGES)))
     for x in EDGES:
-        assert bits(e.eval(float(x))) == bits(_masked_eval(e, float(x))[0])
+        assert bits(e.eval(float(x))) == bits(reference_psi(e, float(x))[0])

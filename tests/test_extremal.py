@@ -31,7 +31,9 @@ from maxdiv import (
     weibull,
 )
 from maxdiv.extremal import PathGrid
-from maxdiv.laws import _quantile_w, _sample_max
+from maxdiv.laws import _quantile_w
+
+from oracles import reference_ep_ensemble, reference_sample_max
 
 E1 = frechet(1.0)
 
@@ -51,20 +53,6 @@ LAW_CASES = list(itertools.product(MAKERS, ("frechet", "weibull", "gumbel"), (0.
 
 def _spec(kind, family, beta):
     return ExtremalSpec(MAKERS[kind](beta, Exponent(family, 1.5)))
-
-
-# -- step-by-step oracle: one grid point per Python step --
-
-
-def ensemble_by_steps(spec, times, rng, n):
-    """n paths, drawing the n increments of each grid point in turn."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty((n, times.size))
-    out[:, 0] = _sample_max(spec.base, rng, n, times[0])
-    for j in range(1, times.size):
-        jump = _sample_max(spec.base, rng, n, times[j] - times[j - 1])
-        out[:, j] = np.maximum(out[:, j - 1], jump)
-    return out
 
 
 def test_marginal_cdf_is_the_t_power():
@@ -155,7 +143,7 @@ def test_one_point_ensemble_matches_direct_increment_law():
     # Y(t) for a single time equals the max-increment over [0, t]
     spec = ExtremalSpec(g_mid(E1))
     a = ep_simulate_ensemble(spec, [3.0], RandomSource(8, 24).generator(), 20_000)[:, 0]
-    b = _sample_max(spec.base, RandomSource(9, 24).generator(), 20_000, 3.0)
+    b = reference_sample_max(spec.base, RandomSource(9, 24).generator(), 20_000, 3.0)
     report = ks_two_sample(a, b)
     assert report.passed, report.statistic
 
@@ -273,7 +261,7 @@ def test_extremal_marginal_at_n_is_the_n_max_df_bit_for_bit(exponent):
 
 
 # The blocked ensemble redraws an exact 0.0 uniform after its whole
-# block, the oracle after its own grid point, so the two streams could
+# block, the reference after the whole grid, so the two streams could
 # part only where a uniform is exactly 0.0 (probability 2**-53 each);
 # no seed used here draws one.
 BLOCK_GRIDS = {
@@ -297,17 +285,16 @@ def test_ensemble_is_byte_identical_to_the_step_loop(kind, family, beta):
     spec = _spec(kind, family, beta)
     for i, (times, n) in enumerate(BLOCK_GRIDS.values()):
         got = ep_simulate_ensemble(spec, times, RandomSource(40, i).generator(), n)
-        _assert_same_array(got, ensemble_by_steps(spec, times, RandomSource(40, i).generator(), n))
+        _assert_same_array(got, reference_ep_ensemble(spec, times, RandomSource(40, i).generator(), n))
 
 
 @pytest.mark.parametrize("kind,family,beta", [("ggamma-mid", "frechet", 0.5), ("gamma-mid", "weibull", 2.0), ("g-mid", "gumbel", 2.0)])
 def test_long_path_is_byte_identical_to_the_step_loop(kind, family, beta):
-    # 20,000 points in one block; the oracle's per-step loop bounds the
-    # grid length (and so the law cases) a test can afford
+    # 20,000 points in one block
     spec = _spec(kind, family, beta)
     times = np.linspace(0.5, 100.0, 20_000)
     got = ep_simulate_ensemble(spec, times, RandomSource(41).generator(), 1)
-    _assert_same_array(got, ensemble_by_steps(spec, times, RandomSource(41).generator(), 1))
+    _assert_same_array(got, reference_ep_ensemble(spec, times, RandomSource(41).generator(), 1))
     path = ep_simulate_path(spec, times, RandomSource(41).generator())
     assert path.values.tobytes() == got[0].tobytes()
 
@@ -326,9 +313,9 @@ def test_long_path_does_not_step_grid_point_by_grid_point():
 
 def test_weibull_extreme_steps_keep_negative_zeros_byte_identical():
     # a 1e300 step sends every Weibull increment to -0.0; the running
-    # maximum must keep them exactly as the sequential loop does
+    # maximum must keep them exactly as np.maximum.accumulate does
     spec = ExtremalSpec(base_law(weibull(0.5)))
     times = [1e-300, 1.0, 1e300, 2e300]
     got = ep_simulate_ensemble(spec, times, RandomSource(43).generator(), 50)
     assert np.all(np.signbit(got[:, 2:]))
-    _assert_same_array(got, ensemble_by_steps(spec, times, RandomSource(43).generator(), 50))
+    _assert_same_array(got, reference_ep_ensemble(spec, times, RandomSource(43).generator(), 50))

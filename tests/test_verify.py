@@ -18,6 +18,7 @@ from maxdiv import (
     SubordinatorSpec,
     VerificationReport,
     ar1_ensemble,
+    compound_marginal_cdf,
     compound_simulate,
     format_report,
     frechet,
@@ -296,6 +297,26 @@ def test_t3_3_exact_twin_holds_the_lag_law_to_1e_12(exponent):
     grid = quantile_grid(control.marginal_law())
     gap = np.max(np.abs(t3_3_lag_cdf(control, grid, control.marginal_beta / control.p) - control.marginal_law().cdf(grid)))
     assert gap > 0.3
+
+
+# -- T3_1's exact twin: the law compound_simulate draws at a gamma(1) time ---
+# T3_2 has no twin: the base process at the unit-time ggamma time and
+# ggamma_mid evaluate the same laws._KINDS record, so their d.f.s agree to
+# the bit (0.0 on every grid) and the difference would show nothing.
+
+
+@pytest.mark.parametrize("exponent", [frechet(1.0), frechet(2.0), weibull(1.0), gumbel()], ids=["frechet-1", "frechet-2", "weibull-1", "gumbel"])
+def test_t3_1_exact_twin_holds_the_compound_law_to_1e_12(exponent):
+    # gamma-mid(beta) at a gamma(t) time has the d.f. (1 + beta log1p(psi))**-t,
+    # ggamma-mid(beta) at t = 1 (1.1e-16 measured); a time t of 1 + 1e-9
+    # moves it by ~3.7e-10, and t = 1.05 by ~1.8e-2
+    sub = SubordinatorSpec(SubKind.GAMMA)
+    for beta in verify_module.BETAS:
+        spec, target = ExtremalSpec(gamma_mid(beta, exponent)), ggamma_mid(beta, exponent)
+        grid = quantile_grid(target)
+        gap = lambda t: np.max(np.abs(compound_marginal_cdf(spec, sub, t, grid) - target.cdf(grid)))
+        assert gap(1.0) <= 1e-12, beta
+        assert gap(1.0 + 1e-9) > 1e-12 and gap(1.05) > 1e-2, beta
 
 
 def _spy_ks(monkeypatch, nan_call=None):
