@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import positive_finite, positive_integer, probability
-from .exponents import Exponent, Family, _apply
+from .exponents import _FAMILIES, Exponent, _apply
 from .laws import _KINDS, LawKind, MaxLaw, _cdf_raw, _neg_log, _neg_log_cdf_raw, _quantile_w
 from .rng import uniform_open
 
@@ -152,11 +152,10 @@ def semi_stable_scale(p, exponent: Exponent) -> float:
     location instead of scale and is rejected.
     """
     p = probability(float(p), "geometric parameter", allow_one=True)
-    if exponent.family is Family.FRECHET:
-        return p ** (1.0 / exponent.alpha)
-    if exponent.family is Family.WEIBULL:
-        return p ** (-1.0 / exponent.alpha)
-    raise ValueError("no scale form exists for the gumbel family")
+    sign = _FAMILIES[exponent.family].scale_sign
+    if sign is None:
+        raise ValueError(f"no scale form exists for the {exponent.family.value} family")
+    return p ** (sign / exponent.alpha)
 
 
 def iterate_transform(f: CdfExpr) -> CdfExpr:

@@ -126,24 +126,22 @@ def ar1_simulate(
     runs reproduce byte for byte.  The chain is the running-max scan of
     extremal paths, restarted at each reset.
 
-    The call holds its output, one reset flag per step and a few blocks
-    (1.32 times the output at 10**6 steps, where the whole-chain scan
-    held 6.25): the branch uniforms are drawn _BLOCK at a time (the
-    same bits as one rng.random(n_steps - 1)) and kept only as flags,
-    X_0 and the innovations are drawn into the output, and the scan
-    runs over one block at a time.  Each block starts at the last value
-    of the block before, which is final and heads the block's first
-    stretch, so the scan picks the same value of each stretch as a
-    whole-chain scan.
+    The call holds its output, one reset flag per step and the scan's
+    few blocks (1.32 times the output at 10**6 steps, where the
+    whole-chain scan held 6.25): the branch uniforms are drawn _BLOCK
+    at a time into the output (the same bits as one rng.random(n_steps
+    - 1)) and kept only as flags, X_0 and the innovations are drawn
+    over them, and the scan runs over one block at a time.  Each block
+    starts at the last value of the block before, which is final and
+    heads the block's first stretch, so the scan picks the same value
+    of each stretch as a whole-chain scan.
     """
     n_steps = positive_integer(n_steps, "n_steps")
     reset = np.empty(n_steps, dtype=bool)
     reset[0] = True  # X_0 heads the first stretch
-    u = np.empty(min(n_steps - 1, _BLOCK))
-    for i in range(1, n_steps, _BLOCK):
-        np.less(rng.random(out=u[: n_steps - i]), spec.p, out=reset[i : i + _BLOCK])
-    del u
     out = np.empty(n_steps)
+    for i in range(1, n_steps, _BLOCK):
+        np.less(rng.random(out=out[i : i + _BLOCK]), spec.p, out=reset[i : i + _BLOCK])
     out[:1] = _marginal(spec, uniform_open(rng, 1))
     _innovations(spec, rng, n_steps - 1, innovation_beta, out=out[1:])
     steps = np.arange(min(n_steps, _BLOCK + 1))

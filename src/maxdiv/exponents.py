@@ -8,8 +8,12 @@ support shape:
     weibull:  psi(x) = (-x)**alpha for x < 0, 0 otherwise
     gumbel:   psi(x) = exp(-x)     on the whole line
 
-Every d.f. of the package takes a number or an array through one
-helper, _apply, and returns a float for a number, else an array.
+Everything that depends on the family lives in one record per family
+in _FAMILIES: psi and its inverse in place, the support, whether alpha
+is pinned to 1, and the sign of the semi-stable scale's exponent.  No
+other code tests the family.  Every d.f. of the package takes a number
+or an array through one helper, _apply, and returns a float for a
+number, else an array.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +56,42 @@ def _apply(fn, x, *args):
 
 
 @dataclass(frozen=True)
+class _Family:
+    """What a family is.  psi and inverse overwrite the float array they
+    get; NaN passes through every psi as the positive NaN."""
+
+    psi: Callable  # (x, alpha) -> psi(x)
+    inverse: Callable  # (s, alpha) -> the x with psi(x) = s; s = +inf gives the support bottom
+    support: Support
+    shaped: bool = True  # False: alpha is pinned to 1
+    scale_sign: float | None = None  # b = p**(scale_sign/alpha) has psi(b*x) = psi(x)/p; None: no b
+
+
+def _power(x, power):
+    x **= power  # Python's in-place **: np.power differs, as ** takes -1, 0.5 and 2 to reciprocal, sqrt and square
+    return x
+
+
+def _half_line(x, outside, power, value):
+    # |x|**power, then value where outside, a mask taken before abs changed the sign of x's zeros
+    _power(np.abs(x, out=x), power)[outside] = value
+    return x
+
+
+# frechet and weibull mirror each other: psi = |x|**(-/+alpha) on a half-line,
+# where abs changes only the sign of a NaN, as it does after gumbel's exp
+_FAMILIES = {
+    Family.FRECHET: _Family(lambda x, a: _half_line(x, x <= 0, -a, np.inf), lambda s, a: _power(s, -1.0 / a), Support(0.0), scale_sign=1.0),
+    Family.WEIBULL: _Family(
+        lambda x, a: _half_line(x, x >= 0, a, 0.0), lambda s, a: np.negative(_power(s, 1.0 / a), out=s), Support(-np.inf, 0.0), scale_sign=-1.0
+    ),
+    Family.GUMBEL: _Family(
+        lambda x, a: np.abs(np.exp(np.negative(x, out=x), out=x), out=x), lambda s, a: np.negative(np.log(s, out=s), out=s), Support(-np.inf), shaped=False
+    ),
+}
+
+
+@dataclass(frozen=True)
 class Exponent:
     """One member of an exponent family; alpha is ignored for gumbel."""
 
@@ -60,63 +101,27 @@ class Exponent:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
-        if self.family is Family.GUMBEL:
+        if not _FAMILIES[self.family].shaped:
             object.__setattr__(self, "alpha", 1.0)
         positive_finite(self.alpha, "alpha")
 
     def eval(self, x):
         """psi(x); nonincreasing, with value +inf below a frechet support.
-
-        A NaN x gives NaN in every family, so every d.f., -log d.f. and
-        composed d.f. built on psi maps NaN to NaN rather than to a
-        family-dependent 0 or 1.
-        """
+        NaN gives NaN in every family, and so in every d.f. built on psi."""
         return _apply(self._eval_raw, x)
 
+    # the in-place cores: x and s are float arrays the caller allocated; the
+    # inverse's callers silence the division by zero of a zero s
+
     def _eval_raw(self, x):
-        # in-place core of eval: x is a float array the caller allocated,
-        # overwritten with psi(x) and returned.  The support mask is taken
-        # first; the formula then runs over the whole array and the entries
-        # outside the support are overwritten; NaN passes through both.  |x|
-        # is x on the frechet support and -x on the weibull one, and exp is
-        # never negative, so the abs changes only the sign of a NaN: every
-        # family returns the positive NaN, whatever the sign of the NaN it got.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if self.family is Family.FRECHET:
-                outside = x <= 0
-                np.abs(x, out=x)
-                x **= -self.alpha
-                x[outside] = np.inf
-            elif self.family is Family.WEIBULL:
-                outside = x >= 0
-                np.abs(x, out=x)
-                x **= self.alpha
-                x[outside] = 0.0
-            else:
-                np.abs(np.exp(np.negative(x, out=x), out=x), out=x)
-        return x
+            return _FAMILIES[self.family].psi(x, self.alpha)
 
     def _inverse_raw(self, s):
-        # the x with psi(x) = s; s = +inf maps to the support bottom by IEEE limits.
-        # s is a float array the caller allocated, overwritten with the result.
-        # Python's in-place ** is kept because np.power differs in the last
-        # bit: an array's ** turns the exponents -1, 0.5 and 2 into reciprocal,
-        # sqrt and square.
-        if self.family is Family.FRECHET:
-            s **= -1.0 / self.alpha
-            return s
-        if self.family is Family.WEIBULL:
-            s **= 1.0 / self.alpha
-            return np.negative(s, out=s)
-        with np.errstate(divide="ignore"):
-            return np.negative(np.log(s, out=s), out=s)
+        return _FAMILIES[self.family].inverse(s, self.alpha)
 
     def support(self) -> Support:
-        if self.family is Family.FRECHET:
-            return Support(0.0, np.inf)
-        if self.family is Family.WEIBULL:
-            return Support(-np.inf, 0.0)
-        return Support(-np.inf, np.inf)
+        return _FAMILIES[self.family].support
 
 
 # bounded: alpha is any positive float, so the exponents a process meets are unbounded

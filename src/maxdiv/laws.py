@@ -213,17 +213,17 @@ def _quantile_w(law: MaxLaw, w, k=None):
     """Quantile evaluated at u = exp(-w), w > 0, without forming u; with
     k, the quantile of F**k, i.e. of law at u = exp(-w/k).
 
-    w is a float array the caller allocated, which is overwritten with
-    the result.  Working in w keeps the transform stable when u is
-    close to either endpoint.  Quantiles beyond float range are mapped
-    to the closest representable point strictly above the support
-    bottom, so samples never sit on the bottom itself and empirical
-    d.f.s stay aligned with the law's d.f. at the smallest
+    w and k are float arrays the caller allocated; the result overwrites
+    k if given, else w.  Working in w keeps the transform stable when u
+    is close to either endpoint.  Quantiles beyond float range are
+    mapped to the closest representable point strictly above the
+    support bottom, so samples never sit on the bottom itself and
+    empirical d.f.s stay aligned with the law's d.f. at the smallest
     representable values.
     """
     with np.errstate(over="ignore", divide="ignore"):
         if k is not None:
-            np.divide(w, k, out=w)
+            w = np.divide(w, k, out=k)
         s = _KINDS[law.kind].s_of_w(w, law.beta)
         x = law.exponent._inverse_raw(s)
     return _nudge_off_bottom(law.exponent, x)
@@ -238,38 +238,35 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int, k=None, out=None)
     """n draws of the maximum of k i.i.d. draws from law, i.e. of F**k;
     k = None stands for k = 1.
 
-    k is a positive real, or a float64 array of n of them that the
-    caller has just drawn (mixing times, interval lengths, look-back
-    counts): that array is overwritten with the draws and returned.  A
-    k that underflowed to 0.0 yields the support bottom, which
-    _quantile_w moves to the smallest point inside it.  Otherwise the
-    draws go into out, a float64 array of n the caller owns (a slice of
-    its own output), or into a new array.
+    k is None or a float64 array of n positive reals that the caller has
+    just drawn (mixing times, interval lengths, look-back counts), which
+    the draws overwrite.  A k that underflowed to 0.0 yields the support
+    bottom, which _quantile_w moves to the smallest point inside it.
+    Without k the draws go into out, a float64 array of n the caller
+    owns (a slice of its own output), or into a new array.
 
-    The uniforms are drawn _BLOCK at a time into one scratch block,
-    turned into draws there and copied into the output, so a call holds
-    the output and one block.  The generator is read as by one
-    uniform_open(rng, n): exact zeros are redrawn after the last block,
-    in uniform_open's order, so seeded draws do not depend on the block
-    size.
+    The uniforms are drawn _BLOCK at a time, without k straight into the
+    output, with k into one scratch block, whose -log u / k go into k.
+    The generator is read as by one uniform_open(rng, n): exact zeros
+    are redrawn after the last block, in uniform_open's order, so seeded
+    draws do not depend on the block size.
     """
-    per_draw = np.ndim(k) > 0
-    out = k if per_draw else np.empty(n) if out is None else out
-    block = np.empty(min(n, _BLOCK))
+    out = k if k is not None else np.empty(n) if out is None else out
+    block = None if k is None else np.empty(min(n, _BLOCK))
     zeros, zero_k = [], []
     for i in range(0, n, _BLOCK):
-        u = rng.random(out=block[: n - i])
-        k_block = out[i : i + u.size] if per_draw else k
+        part = out[i : i + _BLOCK]
+        u = rng.random(out=part if k is None else block[: part.size])
         if not u.all():
             at = np.flatnonzero(u == 0.0)
             zeros.append(at + i)
-            if per_draw:
-                zero_k.append(k_block[at])
+            if k is not None:
+                zero_k.append(part[at])
             u[at] = 0.5  # stand-ins, overwritten by the redraws below
-        out[i : i + u.size] = _quantile_w(law, _neg_log(u), k_block)
+        _quantile_w(law, _neg_log(u), None if k is None else part)
     if zeros:
         at = np.concatenate(zeros)
-        out[at] = _quantile_w(law, _neg_log(uniform_open(rng, at.size)), np.concatenate(zero_k) if per_draw else k)
+        out[at] = _quantile_w(law, _neg_log(uniform_open(rng, at.size)), np.concatenate(zero_k) if zero_k else None)
     return out
 
 

@@ -4,8 +4,9 @@ block.
 
 Each sampler is run at sizes on both sides of its block seams, and with
 exact-zero uniforms at a seam, against the reference that draws the
-whole call at once.  The memory tests trace each sampler's peak against
-its output.
+whole call at once; the maxima of k draws and both routes also for
+every kind x family, under one block.  The memory tests trace each
+sampler's peak against its output.
 """
 
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 from maxdiv import (
     Ar1Spec,
     ExtremalSpec,
+    LawKind,
     RandomSource,
     SubordinatorSpec,
     ar1_ensemble,
@@ -37,7 +39,7 @@ from maxdiv import (
 from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.laws import _BLOCK, _sample_max
 
-from oracles import bits, reference_ar1_ensemble, reference_ar1_simulate, reference_mixing, reference_sample_max
+from oracles import bits, every_law, reference_ar1_ensemble, reference_ar1_simulate, reference_mixing, reference_sample_max
 
 # the first block alone, one short of a block, one block, one over, and
 # three blocks with a last block of one draw
@@ -49,36 +51,46 @@ def twins(seed):
 
 
 def k_twins(n, source):
-    """k for the sampler and for the reference: none, a number, and twin
-    copies of fresh float64 mixing times, which the block loop turns into
-    its output."""
+    """k for the sampler and for the reference: none, and twin copies of
+    a constant and of fresh float64 mixing times, which the block loop
+    turns into its output."""
     mixing = source.generator().standard_exponential(n)
-    return [(None, None), (2.5, 2.5), (mixing, mixing.copy())]
+    return [(None, None), (np.full(n, 2.5), np.full(n, 2.5)), (mixing, mixing.copy())]
 
 
 LAWS = [ggamma_mid(0.5, frechet(1.7)), gamma_mid(2.0, weibull(1.7)), g_mid(gumbel())]
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_block_loop_equals_the_whole_array_sampler(n):
-    for i, law in enumerate(LAWS):
+def law_cases(every_law_n):
+    """LAWS at every size of SIZES, with the size as the id; and every
+    kind x family at alphas 1 and 1.7, at one size under a block."""
+    seams = [pytest.param(LAWS, n, id=str(n)) for n in SIZES]
+    return seams + [pytest.param(every_law(alpha), every_law_n, id=f"every-law-{alpha}") for alpha in (1.0, 1.7)]
+
+
+@pytest.mark.parametrize("laws, n", law_cases(4000))
+def test_block_loop_equals_the_whole_array_sampler(laws, n):
+    for i, law in enumerate(laws):
         for k_new, k_old in k_twins(n, RandomSource(i, 9)):
             new, old = twins(i)
             got = _sample_max(law, new, n, k_new)
             assert got.shape == (n,)
-            assert (got is k_new) == (np.ndim(k_old) > 0)
+            assert (got is k_new) == (k_new is not None)
             np.testing.assert_array_equal(bits(got), bits(reference_sample_max(law, old, n, k_old)))
             assert new.random(4).tobytes() == old.random(4).tobytes()  # same stream position
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_public_samplers_equal_the_whole_array_sampler(n):
-    for i, law in enumerate(LAWS):
+@pytest.mark.parametrize("laws, n", law_cases(5000))
+def test_public_samplers_equal_the_whole_array_sampler(laws, n):
+    for i, law in enumerate(laws):
         new, old = twins(i)
         np.testing.assert_array_equal(bits(law.sample_inverse(new, n)), bits(reference_sample_max(law, old, n)))
-        new, old = twins(i)
-        expected = reference_sample_max(base_law(law.exponent), old, n, reference_mixing(law, old, n))
-        np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
+        if law.kind is not LawKind.BASE:
+            new, old = twins(i)
+            expected = reference_sample_max(base_law(law.exponent), old, n, reference_mixing(law, old, n))
+            np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
+    if laws is not LAWS:
+        return  # the compound draws and sample_ggamma run at the block seams only
     spec = ExtremalSpec(base_law(frechet(1.7)))
     for sub, t, law in ((SubordinatorSpec("gamma"), 1.5, gamma_mid(1.5, frechet(1.7))), (SubordinatorSpec("ggamma", 0.5), 1.0, ggamma_mid(0.5, frechet(1.7)))):
         new, old = twins(n)
@@ -204,9 +216,10 @@ def traced_peak(draw):
 @pytest.mark.parametrize("name", SAMPLERS)
 def test_a_sampler_holds_its_output_and_one_block(name):
     # the output, a quarter of it more for small temporaries such as a
-    # block's flags, and two blocks of float64 (the scratch block and one
-    # more for numpy's own buffers); the whole-array samplers held the
-    # mixing times and the uniforms at once, 2.1 times the output
+    # block's flags, and two blocks of float64 (the scratch block of the
+    # routes with a k per draw and one more for numpy's own buffers); the
+    # whole-array samplers held the mixing times and the uniforms at once,
+    # 2.1 times the output
     out, peak = traced_peak(lambda: SAMPLERS[name](RandomSource(1).generator()))
     assert out.shape == (MEMORY_N,)
     assert peak <= 1.25 * out.nbytes + 2 * 8 * _BLOCK, peak / out.nbytes
@@ -224,10 +237,10 @@ def test_a_path_draws_into_its_own_interval_lengths():
 
 @pytest.mark.parametrize("p", [0.5, 0.01])
 def test_a_chain_holds_its_output_and_a_flag_per_step(p):
-    # the output, one reset flag per step (an eighth of it), and blocks:
-    # the reset uniforms, the innovations' scratch and the block scan's
-    # steps since the last reset and copies; the whole-chain scan held
-    # 6.25 times the output
+    # the output, which the reset uniforms and the innovations are drawn
+    # into, one reset flag per step (an eighth of it), and the block
+    # scan's steps since the last reset and copies; the whole-chain scan
+    # held 6.25 times the output
     spec = Ar1Spec(p, 1.0, E)
     out, peak = traced_peak(lambda: ar1_simulate(spec, MEMORY_N, RandomSource(1).generator()))
     assert out.shape == (MEMORY_N,)

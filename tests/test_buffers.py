@@ -4,7 +4,8 @@ The samplers and d.f.s run in place on buffers the package allocated.
 These tests hold them to two promises: an array a caller passes in is
 never written, and seeded draws and d.f. values equal the out-of-place
 references of oracles.py bit for bit, so no in-place step reads a
-buffer another step has already overwritten.
+buffer another step has already overwritten (for _sample_max and both
+routes of every law, see test_blocks.py).
 """
 
 import warnings
@@ -46,27 +47,16 @@ from maxdiv import (
 )
 from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.exponents import Family
-from maxdiv.laws import _sample_max
 
 from oracles import (
     KINDS,
     bits,
+    every_law,
     min_inside,
     reference_ar1_ensemble,
     reference_ep_ensemble,
-    reference_mixing,
     reference_psi,
-    reference_sample_max,
 )
-
-
-def laws(alpha):
-    # ggamma_mid(0.5) parks ~0.3% of its draws on the smallest inside point
-    return [
-        make(exponent)
-        for exponent in (frechet(alpha), weibull(alpha), gumbel())
-        for make in (base_law, g_mid, lambda e: gamma_mid(2.0, e), lambda e: ggamma_mid(0.5, e))
-    ]
 
 
 def rngs(seed):
@@ -77,37 +67,12 @@ def rngs(seed):
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.7])
-def test_both_routes_equal_the_out_of_place_reference(alpha):
-    for i, law in enumerate(laws(alpha)):
-        new, ref = rngs(i)
-        np.testing.assert_array_equal(bits(law.sample_inverse(new, 5000)), bits(reference_sample_max(law, ref, 5000)))
-        if law.kind is not LawKind.BASE:
-            new, ref = rngs(i)
-            expected = reference_sample_max(base_law(law.exponent), ref, 5000, reference_mixing(law, ref, 5000))
-            np.testing.assert_array_equal(bits(law.sample_latent(new, 5000)), bits(expected))
-
-
-@pytest.mark.parametrize("alpha", [1.0, 1.7])
-def test_maxima_of_k_draws_equal_the_out_of_place_reference(alpha):
-    for i, law in enumerate(laws(alpha)):
-        new, ref = rngs(i)
-        np.testing.assert_array_equal(bits(_sample_max(law, new, 4000, 2.5)), bits(reference_sample_max(law, ref, 4000, 2.5)))
-        # fresh float64 k, one per draw, is overwritten with the draws
-        k = np.random.default_rng(5).standard_exponential(4000)
-        new, ref = rngs(i)
-        expected = reference_sample_max(law, ref, 4000, k.copy())
-        got = _sample_max(law, new, 4000, k)
-        assert got is k
-        np.testing.assert_array_equal(bits(got), bits(expected))
-
-
-@pytest.mark.parametrize("alpha", [1.0, 1.7])
 def test_ep_simulate_ensemble_equals_the_out_of_place_reference(alpha):
     # one k per increment, grid-major; a first interval of 1e-300 takes the
     # quantile transform to the edge of float range.  One path draws into
     # its own interval lengths, here over two blocks
     grids = [(np.cumsum([1e-300, 0.5, 3.0, 0.25]), 1000), (np.linspace(0.5, 3.0, 2**16 + 5), 1)]
-    for i, law in enumerate(laws(alpha)):
+    for i, law in enumerate(every_law(alpha)):
         spec = ExtremalSpec(law)
         for times, n in grids:
             new, ref = rngs(i)
@@ -171,7 +136,7 @@ def edge_points(exponent):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.7])
 def test_ks_one_sample_law_equals_its_cdf_callable(alpha):
-    for i, law in enumerate(laws(alpha)):
+    for i, law in enumerate(every_law(alpha)):
         reference = lambda x: KINDS[law.kind].cdf(reference_psi(law.exponent, x), law.beta)
         draws = law.sample_inverse(RandomSource(i, 4).generator(), 20_000)
         edges = edge_points(law.exponent)

@@ -65,22 +65,22 @@ def test_marginal_cdf_is_the_t_power():
         )
 
 
-# the quantile of the marginal F**t at u is _quantile_w(F, -log u, t), the
-# transform every increment and compound draw goes through
+# the quantile of the marginal F**t at u is _quantile_w(F, -log u, t), with t
+# an array of one per u: the transform every increment and compound draw goes through
 
 
 def test_marginal_quantile_spot_values():
     law = base_law(E1)
     # F(x)^t = u  with  F = exp(-1/x):  x = t / (-log u)
-    assert _quantile_w(law, -np.log(np.exp([-1.0])), 0.5) == pytest.approx(0.5, rel=1e-13)
-    assert _quantile_w(law, -np.log(np.exp([-2.0])), 2.0) == pytest.approx(1.0, rel=1e-13)
+    assert _quantile_w(law, -np.log(np.exp([-1.0])), np.array([0.5])) == pytest.approx(0.5, rel=1e-13)
+    assert _quantile_w(law, -np.log(np.exp([-2.0])), np.array([2.0])) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_marginal_quantile_inverts_marginal_cdf():
     spec = ExtremalSpec(g_mid(E1))
     u = np.linspace(0.01, 0.99, 99)
     for t in (0.5, 2.0):
-        x = _quantile_w(spec.base, -np.log(u), t)
+        x = _quantile_w(spec.base, -np.log(u), np.full(u.size, t))
         np.testing.assert_allclose(ep_marginal_cdf(spec, t, x), u, rtol=0, atol=1e-10)
 
 
@@ -89,7 +89,7 @@ def test_marginal_quantile_collapse_below_the_float_floor():
     # below the smallest representable point park on it, and the d.f.
     # value there reports the collapsed mass honestly
     spec = ExtremalSpec(ggamma_mid(0.5, E1))
-    (x,) = _quantile_w(spec.base, -np.log([0.01]), 0.5)
+    (x,) = _quantile_w(spec.base, -np.log([0.01]), np.array([0.5]))
     assert x > 0.0
     assert ep_marginal_cdf(spec, 0.5, x) > 0.01  # collapsed mass sits above u
 

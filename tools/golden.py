@@ -78,6 +78,8 @@ MATRIX = (
     "sample --kind ggamma-mid --beta 0.5 --n 200003 --seed 13 --route latent",
     "ep --compound gamma --base gamma-mid --beta 2 --t 1.5 --n 200003 --seed 13",
     "ep --compound ggamma --sub-beta 0.5 --n 200003 --seed 13",
+    # the inverse route, which draws no k, across the same seams
+    "sample --kind ggamma-mid --alpha 1.7 --beta 0.5 --n 200003 --seed 13 --route inverse",
     "ar1 --p 0.3 --beta 2 --alpha 1.7 --steps 5000 --seed 5",
     "ar1 --p 0.5 --beta 1 --alpha 1.7 --check --seed 5",
     # ar1 --check hashes a KS statistic, which keeps its value under any change
