@@ -155,7 +155,10 @@ def semi_stable_scale(p, exponent: Exponent) -> float:
     sign = _FAMILIES[exponent.family].scale_sign
     if sign is None:
         raise ValueError(f"no scale form exists for the {exponent.family.value} family")
-    return p ** (sign / exponent.alpha)
+    try:
+        return p ** (sign / exponent.alpha)  # Python's pow: numpy's array pow may move the last bit
+    except OverflowError:  # b beyond float range: its IEEE limit, without a warning
+        return np.inf
 
 
 def iterate_transform(f: CdfExpr) -> CdfExpr:

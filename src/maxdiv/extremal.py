@@ -108,9 +108,8 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
     block differences its own rows of times (the same subtractions as
     differencing the whole grid), and for one path those differences
     become the draws, so a call holds its output and a few blocks.
-    Seeded output is byte-identical to that loop except where a
-    uniform is exactly 0.0 (probability 2**-53 per variate): uniform_open
-    redraws it after the whole block, the loop after its own grid point.
+    Each increment reads exactly one uniform, an exact 0 read as 2**-54
+    (rng.uniform_open), so seeded output is byte-identical to that loop.
     """
     times = _check_times(times)
     n = positive_integer(n, "n")

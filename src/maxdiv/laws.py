@@ -42,7 +42,7 @@ import numpy as np
 
 from ._checks import open_unit, positive_finite, positive_integer
 from .exponents import Exponent, Family, _apply, _min_inside
-from .rng import uniform_open
+from .rng import _open
 
 # draws per block of the samplers' loops (_sample_max, sample_ggamma):
 # large enough to amortise the per-call cost over long arrays, small
@@ -246,27 +246,16 @@ def _sample_max(law: MaxLaw, rng: np.random.Generator, n: int, k=None, out=None)
     owns (a slice of its own output), or into a new array.
 
     The uniforms are drawn _BLOCK at a time, without k straight into the
-    output, with k into one scratch block, whose -log u / k go into k.
-    The generator is read as by one uniform_open(rng, n): exact zeros
-    are redrawn after the last block, in uniform_open's order, so seeded
-    draws do not depend on the block size.
+    output, with k into one scratch block, whose -log u / k go into k,
+    and read as by one uniform_open(rng, n): exactly n draws, an exact 0
+    read as 2**-54, so seeded draws do not depend on the block size.
     """
     out = k if k is not None else np.empty(n) if out is None else out
     block = None if k is None else np.empty(min(n, _BLOCK))
-    zeros, zero_k = [], []
     for i in range(0, n, _BLOCK):
         part = out[i : i + _BLOCK]
-        u = rng.random(out=part if k is None else block[: part.size])
-        if not u.all():
-            at = np.flatnonzero(u == 0.0)
-            zeros.append(at + i)
-            if k is not None:
-                zero_k.append(part[at])
-            u[at] = 0.5  # stand-ins, overwritten by the redraws below
+        u = _open(rng.random(out=part if k is None else block[: part.size]))
         _quantile_w(law, _neg_log(u), None if k is None else part)
-    if zeros:
-        at = np.concatenate(zeros)
-        out[at] = _quantile_w(law, _neg_log(uniform_open(rng, at.size)), np.concatenate(zero_k) if zero_k else None)
     return out
 
 
@@ -279,30 +268,27 @@ def _nudge_off_bottom(exponent: Exponent, x):
 
 
 def sample_ggamma(beta: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """size gamma variates, each of shape beta times a unit exponential.
+    """size gamma variates, each of shape beta times a unit exponential:
+    the ggamma-mid mixing time, whose Laplace transform is lt_ggamma.
 
-    The resulting positive law, the ggamma-mid mixing time, has Laplace
-    transform lt_ggamma.  Shape draws that underflow to an exact
-    zero are redrawn (a zero-shape gamma is a point mass, not a member
-    of the family).  Variate draws of exact 0.0 are kept: the law puts
-    real mass below the smallest float (about 1/(1+744*beta)), so a
-    zero is the nearest representable value of a genuinely positive
-    draw, and rejecting it would bias every quantile of the law.
-    Downstream transforms send such draws to the smallest representable
-    point of the target support.  For a beta near the float maximum a
-    shape beta*E beyond float range is inf, and so is its draw: the IEEE
-    limit, returned without an overflow warning.  Every shape is drawn
-    before any gamma; the gammas are drawn _BLOCK at a time and copied
-    over their shapes, so a call holds its output and one block.
+    A call reads size exponentials, then the gammas of their shapes, and
+    redraws nothing.  A draw of 0.0 is kept, whether its gamma or its
+    shape underflowed (numpy's standard_gamma gives 0.0 at shape 0 and
+    reads no variate): the law puts real mass below the smallest float
+    (about 1/(1+744*beta)), so a zero is the nearest representable value
+    of a genuinely positive draw, and rejecting it would bias every
+    quantile of the law.  Downstream transforms send such draws to the
+    smallest representable point of the target support.  A shape beta*E
+    beyond float range (beta near the float maximum) is inf, and so is
+    its draw: the IEEE limit, without an overflow warning.  The gammas
+    are drawn _BLOCK at a time and copied over their shapes, so a call
+    holds its output and one block.
     """
     positive_finite(beta, "beta")
     n = positive_integer(size, "size")
     shape = rng.standard_exponential(n)
     with np.errstate(over="ignore"):
         shape *= beta
-    while not shape.all():
-        zero = shape == 0.0
-        shape[zero] = beta * rng.standard_exponential(int(zero.sum()))
     # the gammas go through a scratch block, not out= over their own shapes,
     # whose aliasing numpy does not document
     block = np.empty(min(n, _BLOCK))

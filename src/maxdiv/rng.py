@@ -54,15 +54,14 @@ def _index(value) -> int:
 
 
 def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
-    """size uniform draws restricted to the open interval (0, 1).
+    """size uniforms in (0, 1), a 1-d array, from exactly size draws of
+    rng.random(), for a whole number size >= 1.  numpy's draws are
+    j * 2**-53 on [0, 1), and the quantile transforms downstream are
+    undefined at 0, so an exact 0 is read as 2**-54, the midpoint of its
+    cell [0, 2**-53)."""
+    return _open(rng.random(positive_integer(size, "size")))
 
-    numpy's random() covers [0, 1); exact zeros are redrawn because the
-    quantile transforms used downstream are undefined at u = 0.  size
-    is a whole number >= 1, giving a 1-d array.
-    """
-    u = rng.random(positive_integer(size, "size"))
-    zero = u == 0.0
-    while np.any(zero):
-        u[zero] = rng.random(int(zero.sum()))
-        zero = u == 0.0
-    return u
+
+def _open(u: np.ndarray) -> np.ndarray:
+    # uniform_open's rule, in place: every draw but 0 is at least 2**-53 and keeps its bits
+    return np.maximum(u, 2**-54, out=u)

@@ -12,7 +12,7 @@ The stream order of each public sampler:
 
 - sample_inverse, and the maximum of k draws inside every sampler
   (reference_sample_max): n open uniforms, as one uniform_open call
-  (exact zeros redrawn after the whole array); each u becomes
+  (exactly n draws, an exact 0 read as 2**-54); each u becomes
   w = -log u, w / k, s(w), the inverse exponent, and where that is the
   support bottom, the smallest point inside it.
 - sample_latent: n mixing times (reference_mixing), then n base-law
@@ -21,13 +21,11 @@ The stream order of each public sampler:
   the unit-time ggamma's ggamma-mid's at shape beta.
 - mixing times: g-mid's are n standard exponentials, gamma-mid's one
   standard_gamma(beta, n), ggamma-mid's (sample_ggamma) n shapes beta * E
-  of standard exponentials E, exact-zero shapes redrawn round by round,
-  then one standard_gamma over the n shapes.
+  of standard exponentials E, then one standard_gamma over the n shapes
+  (a shape that underflowed to 0.0 gives 0.0 and reads nothing).
 - ep_simulate_ensemble: grid-major, one base-law draw per increment with
-  k its interval length, then a running max along the grid.  The
-  sampler redraws an exact-zero uniform after each block of grid rows,
-  the reference after the whole grid, so they part only where a uniform
-  is exactly 0.0 (probability 2**-53 each).
+  k its interval length, then a running max along the grid; exactly one
+  uniform per increment, so the blocks of grid rows read it as one call.
 - ar1_simulate: n - 1 reset uniforms (one rng.random; u < p resets),
   X_0 as one marginal draw, then n - 1 innovations.  Two recursions read
   them: a Python loop of ar1_step, and one segmented running max of the
@@ -147,9 +145,6 @@ def reference_mixing(law, rng, n):
         return rng.standard_gamma(law.beta, n)
     with np.errstate(over="ignore"):
         shape = law.beta * rng.standard_exponential(n)
-    while np.any(shape == 0.0):
-        zero = shape == 0.0
-        shape[zero] = law.beta * rng.standard_exponential(int(zero.sum()))
     return rng.standard_gamma(shape, n)
 
 

@@ -39,7 +39,7 @@ from maxdiv import (
 from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.laws import _BLOCK, _sample_max
 
-from oracles import bits, every_law, reference_ar1_ensemble, reference_ar1_simulate, reference_mixing, reference_sample_max
+from oracles import bits, every_law, reference_ar1_ensemble, reference_ar1_simulate, reference_ep_ensemble, reference_mixing, reference_sample_max
 
 # the first block alone, one short of a block, one block, one over, and
 # three blocks with a last block of one draw
@@ -122,22 +122,48 @@ class ZeroedUniforms:
         return getattr(self._rng, name)
 
 
-def test_exact_zero_uniforms_are_redrawn_as_by_the_whole_array_sampler():
+def test_exact_zero_uniforms_are_read_as_by_the_whole_array_sampler():
+    # in the first block, on both sides of the first seam and in the short
+    # last block: each zero is read in place, so a call draws n uniforms
     n = 3 * _BLOCK + 1
-    # in the first block; on both sides of the first seam; the short last
-    # block; and the first redraw, which is redrawn in turn
-    zero_at = [5, 70, _BLOCK - 1, _BLOCK, 3 * _BLOCK, n, n + 1]
+    zero_at = [5, 70, _BLOCK - 1, _BLOCK, 3 * _BLOCK]
     for law in LAWS:
         for k_new, k_old in k_twins(n, RandomSource(2)):
             new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
             got = _sample_max(law, new, n, k_new)
             expected = reference_sample_max(law, old, n, k_old)
             assert new.zeros == old.zeros == len(zero_at)
-            assert new.drawn == old.drawn == n + 7  # five redraws, then two
+            assert new.drawn == old.drawn == n
             np.testing.assert_array_equal(bits(got), bits(expected))
         new, old = ZeroedUniforms(1, zero_at), ZeroedUniforms(1, zero_at)
         expected = reference_sample_max(base_law(law.exponent), old, n, reference_mixing(law, old, n))
         np.testing.assert_array_equal(bits(law.sample_latent(new, n)), bits(expected))
+        assert new.zeros == old.zeros == len(zero_at)
+        assert new.drawn == old.drawn == n
+
+
+# a block of whole grid rows of 300 paths: 218 rows, 65,400 variates
+ROW_SEAM = _BLOCK // 300 * 300
+
+
+@pytest.mark.parametrize(
+    "times, n, zero_at",
+    [
+        # zeros on both sides of the first two row-block seams
+        (np.linspace(0.5, 3.0, 1000), 300, [3, ROW_SEAM - 1, ROW_SEAM, 2 * ROW_SEAM - 1, 2 * ROW_SEAM]),
+        # one grid row per block, spanning two of _sample_max's blocks: zeros
+        # at its seam and at the first row-block seam
+        (np.array([0.5, 1.0, 2.0]), _BLOCK + 3, [_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 3]),
+    ],
+    ids=["row-blocks", "rows-over-a-block"],
+)
+def test_exact_zero_uniforms_at_a_row_block_seam_leave_paths_equal_to_the_grid_loop(times, n, zero_at):
+    spec = ExtremalSpec(ggamma_mid(0.5, frechet(1.7)))
+    new, old = ZeroedUniforms(5, zero_at), ZeroedUniforms(5, zero_at)
+    got = ep_simulate_ensemble(spec, times, new, n)
+    np.testing.assert_array_equal(bits(got), bits(reference_ep_ensemble(spec, times, old, n)))
+    assert new.zeros == old.zeros == len(zero_at)
+    assert new.drawn == old.drawn == n * times.size
 
 
 CHAIN_SPECS = [Ar1Spec(1e-9, 1.5, frechet(1.7)), Ar1Spec(0.01, 0.5, weibull(1.7)), Ar1Spec(0.5, 2.0, gumbel())]
@@ -159,15 +185,15 @@ def test_a_chain_scanned_by_blocks_equals_the_whole_chain_scan(n):
 
 def test_a_chain_with_exact_zero_uniforms_equals_the_whole_chain_scan():
     # zeros among the reset uniforms (a zero is a reset) on both sides of
-    # a seam, and among the innovations, whose zeros are redrawn at the end
+    # a seam, and among X_0 and the innovations, each read as 2**-54
     n = 2 * _BLOCK + 3
-    zero_at = [0, _BLOCK - 1, _BLOCK, n + 5, n + _BLOCK + 1]
+    zero_at = [0, _BLOCK - 1, _BLOCK, n - 1, n + 5, n + _BLOCK + 1]
     for spec in CHAIN_SPECS:
         new, old = ZeroedUniforms(3, zero_at), ZeroedUniforms(3, zero_at)
         got = ar1_simulate(spec, n, new)
         np.testing.assert_array_equal(bits(got), bits(reference_ar1_simulate(spec, n, old)))
         assert new.zeros == old.zeros == len(zero_at)
-        assert new.drawn == old.drawn
+        assert new.drawn == old.drawn == 2 * n - 1
 
 
 # the look-back counts' own blocks: one short of a block, one, one over, and

@@ -14,12 +14,19 @@ maximum M_m of X_0..X_m is max(X_0, eps_1..eps_m), whatever the resets:
     P(M_m <= x) = F(x) * F_eps(x)**m,
 
 where m + 1 independent values would give F(x)**(m + 1).
+
+In the upper tail -log F_eps / -log F -> p, so P(M_m <= u) is about
+F(u)**(1 + p*m) there: the chain's extremal index is theta = p, the
+reciprocal of the mean length of a run of high values (Alpuim, J. Appl.
+Probab. 26, 1989).
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from maxdiv import Ar1Spec, RandomSource, ar1_simulate, frechet, gumbel, innovation_cdf_from_marginal, ks_one_sample, weibull
+from maxdiv import Ar1Spec, RandomSource, ar1_simulate, frechet, ggamma_mid, gumbel, innovation_cdf_from_marginal, ks_one_sample, weibull
 
 TIE_STEPS = 10**6
 TIE_Z = 4.0  # nine cells: a false alarm about once in 1,700 seeds
@@ -93,6 +100,16 @@ PATH_M = 20
 PATH_BLOCKS = 20_000
 
 
+@lru_cache(maxsize=3)  # the three p of the tests below
+def stretch_maxima(p):
+    """The chain's spec and the maxima of PATH_BLOCKS stretches of
+    PATH_M + 1 values, g steps apart in one long chain."""
+    gap = int(np.ceil(np.log(1e-15) / np.log1p(-p)))
+    spec = Ar1Spec(p, 1.0, frechet(1.0))
+    chain = ar1_simulate(spec, PATH_BLOCKS * (PATH_M + 1 + gap), RandomSource(7, 70).generator())
+    return spec, chain.reshape(PATH_BLOCKS, -1)[:, : PATH_M + 1].max(axis=1)
+
+
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
 def test_a_stretch_maximum_follows_the_marginal_times_m_innovations(p):
     """The maximum of m + 1 = 21 consecutive values follows F * F_eps**m
@@ -109,10 +126,7 @@ def test_a_stretch_maximum_follows_the_marginal_times_m_innovations(p):
     cases take about 0.3 s, most of it the 3.5 * 10**6-step chain at
     p = 0.2.
     """
-    gap = int(np.ceil(np.log(1e-15) / np.log1p(-p)))
-    spec = Ar1Spec(p, 1.0, frechet(1.0))
-    chain = ar1_simulate(spec, PATH_BLOCKS * (PATH_M + 1 + gap), RandomSource(7, 70).generator())
-    maxima = chain.reshape(PATH_BLOCKS, -1)[:, : PATH_M + 1].max(axis=1)
+    spec, maxima = stretch_maxima(p)
     law = spec.marginal_law()
 
     def path_max_cdf(x):
@@ -122,3 +136,62 @@ def test_a_stretch_maximum_follows_the_marginal_times_m_innovations(p):
     report = ks_one_sample(maxima, path_max_cdf)
     assert report.passed, report
     assert not ks_one_sample(maxima, lambda x: law.cdf(x) ** (PATH_M + 1)).passed
+
+
+@pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("exponent", [frechet(1.0), weibull(2.0), gumbel()], ids=["frechet", "weibull", "gumbel"])
+def test_the_innovation_tail_is_p_times_the_marginal_tail(p, exponent):
+    """-log F_eps / -log F -> p as F -> 1.
+
+    In w = -log F, stationarity gives -log F_eps = w + log1p((1-p)
+    expm1(-w)) = p*w*(1 + (1-p)*w/2 + O(w**2)).  The ratio is taken
+    through neg_log_cdf at the quantiles with w = 0.1 down to 1e-15,
+    where F itself rounds to 1: its relative excess over p falls with w,
+    stays within [0, w] and ends at rounding.  The innovation law the
+    samplers draw, ggamma-mid at shape p*beta, is that solved -log F_eps
+    to 1e-13.
+    """
+    spec = Ar1Spec(p, 2.0, exponent)
+    law = spec.marginal_law()
+    x = law.quantile(np.exp(-(10.0 ** -np.arange(1, 16))))
+    w = law.neg_log_cdf(x)
+    w_eps = ggamma_mid(spec.innovation_beta, exponent).neg_log_cdf(x)
+    np.testing.assert_allclose(w_eps, w + np.log1p((1 - p) * np.expm1(-w)), rtol=1e-13)
+    excess = w_eps / (p * w) - 1
+    assert np.all((excess >= 0) & (excess <= w)) and np.all(np.diff(excess) <= 0), excess
+    assert excess[-1] < 1e-15, excess
+
+
+THETA_BAND = 0.04
+
+
+def block_theta(maxima, law):
+    """The block-maxima estimate of the extremal index at u, the 0.7
+    quantile of the maxima: P(M_m <= u) = F(u)**(1 + theta*m), solved
+    for theta with the maxima's empirical d.f. at u."""
+    u = np.quantile(maxima, 0.7)
+    return (-np.log(np.mean(maxima <= u)) / law.neg_log_cdf(u) - 1.0) / PATH_M
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+def test_block_maxima_recover_the_extremal_index_p(p):
+    """The stretch maxima give theta within 0.04 of p, and m + 1
+    independent values, theta = 1, do not.
+
+    X_0 heads each stretch, so its F(u) is taken out: m + 1 values of
+    extremal index theta would give F(u)**((m + 1)*theta) instead.  At
+    the 0.7 quantile of the maxima, w = -log F(u) is 0.36/(1 + p*m),
+    where theta reads p*(1 + (1-p)*w/2), at most 0.006 above p.  Over
+    seeds 7..16 the estimate spread with a standard deviation of 0.003,
+    0.005 and 0.013 at p = 0.2, 0.5 and 0.9, and independent blocks read
+    1 within 0.03.  Here the chains read 0.206, 0.502 and 0.898, and the
+    independent blocks 0.998.
+    """
+    spec, maxima = stretch_maxima(p)
+    law = spec.marginal_law()
+    theta = block_theta(maxima, law)
+    assert abs(theta - p) < THETA_BAND, theta
+    iid = law.sample_inverse(RandomSource(7, 71).generator(), maxima.size * (PATH_M + 1))
+    theta_iid = block_theta(iid.reshape(maxima.size, -1).max(axis=1), law)
+    assert abs(theta_iid - 1.0) < THETA_BAND, theta_iid
+    assert abs(theta_iid - p) > THETA_BAND, theta_iid

@@ -209,6 +209,17 @@ def test_semi_stable_scale_divides_psi_by_p(make, side, alpha, p, x):
     few_ulps_of(e.eval(bx[kept]), psi[kept] / p, 1 + alpha + abs(math.log(p)))
 
 
+def test_a_semi_stable_scale_beyond_float_range_is_its_ieee_limit():
+    # weibull's b = p**(-1/alpha) = 10**6000 overflows to inf and frechet's
+    # p**(1/alpha) underflows to 0.0, both without a warning, which the
+    # suite would raise; every finite b keeps the bits of Python's pow
+    assert semi_stable_scale(1e-300, weibull(0.05)) == math.inf
+    assert semi_stable_scale(1e-300, frechet(0.05)) == 0.0
+    for p, alpha in ((1e-300, 2.0), (0.3, 1.7), (5e-324, 20.0), (0.5, 0.05)):
+        assert semi_stable_scale(p, weibull(alpha)).hex() == (p ** (-1.0 / alpha)).hex()
+        assert semi_stable_scale(p, frechet(alpha)).hex() == (p ** (1.0 / alpha)).hex()
+
+
 @settings(max_examples=20, deadline=None)
 @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 def test_gumbel_has_no_semi_stable_scale(p):

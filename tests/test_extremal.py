@@ -260,10 +260,8 @@ def test_extremal_marginal_at_n_is_the_n_max_df_bit_for_bit(exponent):
             _same_bits(lambda x: ep_marginal_cdf(spec, n, x), lambda x: n_max_cdf(base, n, x), quantile_grid(base))
 
 
-# The blocked ensemble redraws an exact 0.0 uniform after its whole
-# block, the reference after the whole grid, so the two streams could
-# part only where a uniform is exactly 0.0 (probability 2**-53 each);
-# no seed used here draws one.
+# Grids whose row blocks fall on both sides of the samplers' blocks; an
+# exact 0.0 uniform at a seam is tested in tests/test_blocks.py.
 BLOCK_GRIDS = {
     "one-point": ([1.7], 4),
     "one-grid-point-per-block": (np.linspace(0.1, 3.0, 10), 2**16),

@@ -315,11 +315,20 @@ def test_sample_ggamma_validation():
 
 def test_sample_ggamma_survives_subnormal_shape():
     # beta * Exp(1) rounds to 0.0 whenever Exp(1) <= 0.5 (about 39% of
-    # draws) at this beta; those shapes are redrawn until all are positive
+    # draws) at this beta; each zero shape draws exactly 0.0 and reads no
+    # variate, so the call ends where n exponentials and the gammas of the
+    # nonzero shapes alone end
     n = 1000
-    draws = sample_ggamma(5e-324, RandomSource(0, 8).generator(), n)
+    rng, twin = RandomSource(0, 8).generator(), RandomSource(0, 8).generator()
+    draws = sample_ggamma(5e-324, rng, n)
+    shape = 5e-324 * twin.standard_exponential(n)
+    zero_shape = shape == 0.0
     assert draws.shape == (n,)
     assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
+    assert 300 < zero_shape.sum() < 500
+    assert draws[zero_shape].tobytes() == np.zeros(zero_shape.sum()).tobytes()
+    assert draws[~zero_shape].tobytes() == twin.standard_gamma(shape[~zero_shape]).tobytes()
+    assert rng.random(4).tobytes() == twin.random(4).tobytes()
 
 
 def test_sample_ggamma_returns_inf_for_a_shape_beyond_float_range():

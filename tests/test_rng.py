@@ -81,11 +81,14 @@ class _ZerosFirst:
         return self.draws.pop(0)
 
 
-def test_uniform_open_redraws_exact_zeros():
-    # each pass redraws only the entries still at zero
-    rng = _ZerosFirst(np.array([0.0, 0.5, 0.0, 0.75]), np.array([0.0, 0.125]), np.array([0.875]))
-    assert uniform_open(rng, 4).tolist() == [0.875, 0.5, 0.125, 0.75]
-    assert rng.sizes == [4, 2, 1]
+def test_uniform_open_reads_an_exact_zero_as_the_midpoint_of_its_cell():
+    # numpy's uniforms are j * 2**-53, so 0 stands for [0, 2**-53): read as
+    # 2**-54, with no redraw, and every other draw keeps its bits
+    rng = _ZerosFirst(np.array([0.0, 0.5, 0.0, 0.75]))
+    assert uniform_open(rng, 4).tolist() == [2**-54, 0.5, 2**-54, 0.75]
+    assert rng.sizes == [4]
+    ends = np.array([2**-53, 1.0 - 2**-53])  # the smallest and the largest nonzero draw
+    assert uniform_open(_ZerosFirst(ends.copy()), 2).tobytes() == ends.tobytes()
 
 
 def test_uniform_open_takes_a_whole_number_size():
