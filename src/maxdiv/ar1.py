@@ -34,7 +34,7 @@ L = 100 that is ~2e-10 of the chains.
 
 Beside their output both samplers hold a few blocks and little else:
 the chain a reset flag per step, as it scans its output a block at a
-time; the ensemble an index and X_0's uniform for each chain with
+time; the ensemble a block index and X_0's uniform for each chain with
 G > L, as it draws G a block at a time and writes the counts min(G, L)
 over X_0's uniforms, whose buffer becomes the output.
 
@@ -124,39 +124,33 @@ def ar1_simulate(
     it.  Branch uniforms for the whole chain are drawn first (u < p is
     a reset), then X_0's uniform, then the innovations, so equal-seed
     runs reproduce byte for byte.  The chain is the running-max scan of
-    extremal paths, restarted at each reset.
+    extremal paths, restarted at each reset, given the flags u >= p.
 
-    The call holds its output, one reset flag per step and the scan's
-    few blocks (1.32 times the output at 10**6 steps, where the
-    whole-chain scan held 6.25): the branch uniforms are drawn _BLOCK
-    at a time into the output (the same bits as one rng.random(n_steps
-    - 1)) and kept only as flags, X_0 and the innovations are drawn
-    over them, and the scan runs over one block at a time.  Each block
-    starts at the last value of the block before, which is final and
-    heads the block's first stretch, so the scan picks the same value
-    of each stretch as a whole-chain scan.
+    The call holds its output, one flag per step and the scan's few
+    blocks (1.15 times the output at 10**6 steps, where the whole-chain
+    scan held 6.25): the branch uniforms are drawn _BLOCK at a time into
+    the output (the same bits as one rng.random(n_steps - 1)) and kept
+    only as flags, X_0 and the innovations are drawn over them, and the
+    scan runs over one block at a time.  Each block starts at the last
+    value of the block before, which is final and heads the block's
+    first stretch, so the scan picks the same value of each stretch as
+    a whole-chain scan.
     """
     n_steps = positive_integer(n_steps, "n_steps")
-    reset = np.empty(n_steps, dtype=bool)
-    reset[0] = True  # X_0 heads the first stretch
+    free = np.empty(n_steps, dtype=bool)  # free[i]: step i is no reset; free[0] is not read
     out = np.empty(n_steps)
     for i in range(1, n_steps, _BLOCK):
-        np.less(rng.random(out=out[i : i + _BLOCK]), spec.p, out=reset[i : i + _BLOCK])
+        np.greater_equal(rng.random(out=out[i : i + _BLOCK]), spec.p, out=free[i : i + _BLOCK])
     out[:1] = _marginal(spec, uniform_open(rng, 1))
     _innovations(spec, rng, n_steps - 1, innovation_beta, out=out[1:])
-    steps = np.arange(min(n_steps, _BLOCK + 1))
     for i in range(0, n_steps - 1, _BLOCK):
-        x = out[i : i + _BLOCK + 1]
-        # steps since the last reset, counted from the block's first value
-        since = np.where(reset[i : i + x.size], steps[: x.size], 0)
-        np.subtract(steps[: x.size], np.maximum.accumulate(since, out=since), out=since)
-        _running_max(x, since)
+        _running_max(out[i : i + _BLOCK + 1], free[i : i + _BLOCK + 1])
     return out
 
 
 # look-back counts drawn per block: 64 KB of float64, which the heap hands
 # out again to the next block, where a _BLOCK of them (512 KB) is mapped
-# fresh and faulted in every time
+# fresh and faulted in every time; an index in a block fits a uint16
 _COUNT_BLOCK = 2**13
 
 
@@ -191,14 +185,14 @@ def ar1_ensemble(
     X_0 joins where G > lag: at most three variates per chain, whatever
     the lag.  X_0 is read only where G > lag.  So G is drawn
     _COUNT_BLOCK at a time by _geometric; each block keeps the X_0
-    uniforms of its chains with G > lag, with their indices, and then
-    writes min(G, lag) over its X_0 uniforms.  That buffer receives the
-    draws, and the kept uniforms are turned into marginal draws and
-    joined in; every value is the one that transforming all of them
-    would give.  Beside the output the call holds a few blocks and,
-    where G > lag, an index and a uniform per chain: 1.13 times the
-    output at p = 0.5 and lag 100, 1.81 at p = 0.01, where 37% of the
-    chains keep X_0.
+    uniforms of its chains with G > lag, with their uint16 indices in
+    the block, and then writes min(G, lag) over its X_0 uniforms.  That
+    buffer receives the draws, and the kept uniforms are turned into
+    marginal draws and joined in; every value is the one that
+    transforming all of them would give.  Beside the output the call
+    holds a few blocks and, where G > lag, 10 bytes per chain: 1.07
+    times the output at p = 0.5 and lag 100, 1.54 at p = 0.01, where
+    37% of the chains keep X_0.
 
     Every whole lag >= 0 is accepted.  G and lag are compared as
     float64: lag is read as the nearest float64, or as the largest one
@@ -214,15 +208,16 @@ def ar1_ensemble(
     x = uniform_open(rng, n_chains)
     if lag == 0:
         return _marginal(spec, x)
-    joins = []  # (indices, X_0 uniforms) of the chains with G > lag, by block
+    joins = []  # (block start, indices in the block, X_0 uniforms) of the chains with G > lag
     for i in range(0, n_chains, _COUNT_BLOCK):
         back = _geometric(rng, spec.p, min(_COUNT_BLOCK, n_chains - i))
         block = x[i : i + back.size]
-        no_reset = np.flatnonzero(back > lag)
+        no_reset = np.flatnonzero(back > lag).astype(np.uint16)
         if no_reset.size:
-            joins.append((no_reset + i, block[no_reset]))
+            joins.append((i, no_reset, block[no_reset]))
         np.minimum(back, lag, out=block)
     x = _innovations(spec, rng, n_chains, innovation_beta, k=x)
-    for no_reset, u0 in joins:
-        x[no_reset] = np.maximum(x[no_reset], _marginal(spec, u0))
+    for i, no_reset, u0 in joins:
+        block = x[i : i + _COUNT_BLOCK]
+        block[no_reset] = np.maximum(block[no_reset], _marginal(spec, u0))
     return x

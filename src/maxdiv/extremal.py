@@ -126,35 +126,38 @@ def ep_simulate_ensemble(spec: ExtremalSpec, times, rng: np.random.Generator, n:
     return out
 
 
-def _running_max(x: np.ndarray, since: np.ndarray | None = None) -> np.ndarray:
-    """In place along axis 0, x[i] becomes the max of x[i - since[i]]
-    .. x[i] (of x[0] .. x[i] when since is None); returns x.
+def _running_max(x: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+    """In place along axis 0, x[i] becomes the max of x[0] .. x[i], or
+    with flags free (free[i]: no stretch starts at i) of x[i]'s stretch
+    up to i; returns x, and overwrites free.
 
-    A doubling scan of ceil(log2(len)) vectorised passes: after the pass
-    with step s, x[i] is the max of the last 2s values up to i.
+    A doubling scan of ceil(log2(len)) vectorised passes at most: after
+    the pass with step s, x[i] is the max of the last 2s values up to i.
     np.maximum.accumulate(axis=0) runs its inner loop once per column,
     ~7 ns per element, which for wide blocks of few rows costs more than
-    drawing them.  With since, a pass copies x[i - s] into x[i] where
-    since[i] >= s, unless x[i] > x[i - s], so ties keep the earlier value
-    as a step-by-step max(previous, new) does.  Without since a pass is
-    np.maximum, whose zero on a +-0 tie is left to the platform; that is
-    exact for quantile draws, which are never NaN and whose only zero is
-    -0.0.
+    drawing them.  With free, a pass copies x[i - s] into x[i] where
+    free[i] holds, unless x[i] > x[i - s], so ties keep the earlier value
+    as a step-by-step max(previous, new) does, then sets free[i] &=
+    free[i - s] (no stretch starts in the last 2s steps); the scan stops
+    when no flag is left.  Without free a pass is np.maximum, whose zero
+    on a +-0 tie is left to the platform; that is exact for quantile
+    draws, which are never NaN and whose only zero is -0.0.
 
     The two rules stay apart because each is the faster one for its
     caller: the masked copy made the scans of paths ~10 times slower,
-    and np.maximum(..., where=) made ar1_simulate 25-40% slower at
-    p >= 0.2 (README, "Numerical notes").
+    and np.maximum(..., where=) made ar1_simulate slower at p >= 0.2
+    (README, "Numerical notes").
     """
-    step, top = 1, x.shape[0] - 1 if since is None else since.max(initial=0)
-    while step <= top:
-        if since is None:
+    step = 1
+    while step < x.shape[0] and (free is None or free[step:].any()):
+        if free is None:
             # numpy buffers the overlapping operands, so each pass reads the previous one
             np.maximum(x[:-step], x[step:], out=x[step:])
         else:
-            take = since[step:] >= step
-            take &= ~(x[step:] > x[:-step])
+            take = ~(x[step:] > x[:-step])
+            take &= free[step:]
             np.copyto(x[step:], x[:-step], where=take)  # copies the overlapping source first
+            free[2 * step :] &= free[step:-step]
         step *= 2
     return x
 

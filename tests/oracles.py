@@ -28,8 +28,9 @@ The stream order of each public sampler:
   uniform per increment, so the blocks of grid rows read it as one call.
 - ar1_simulate: n - 1 reset uniforms (one rng.random; u < p resets),
   X_0 as one marginal draw, then n - 1 innovations.  Two recursions read
-  them: a Python loop of ar1_step, and one segmented running max of the
-  whole chain (extremal._running_max, which the sampler runs by blocks).
+  them: a Python loop of ar1_step, and one doubling scan of the whole
+  chain by the steps since the last reset (the sampler scans a block at
+  a time by its reset flags).
 - ar1_ensemble: n open uniforms of X_0; for lag >= 1, n look-back counts
   G = max(1, ceil(E / -log1p(-p))) of standard exponentials E; then the
   maximum of k = min(G, lag) innovations, the lag taken as a float64,
@@ -44,7 +45,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from maxdiv import Family, LawKind, base_law, frechet, g_mid, gamma_mid, ggamma_mid, gumbel, uniform_open, weibull
-from maxdiv.extremal import _running_max
 
 
 def bits(a):
@@ -183,11 +183,18 @@ def ar1_by_steps(spec, n_steps, rng, innovation_beta=None):
 
 
 def reference_ar1_simulate(spec, n_steps, rng, innovation_beta=None):
-    """ar1_simulate's draws, then one scan of the whole chain with the steps since the last reset."""
+    """ar1_simulate's draws, then one doubling scan of the whole chain by
+    the steps since the last reset: the pass with step s takes x[i - s]
+    where no reset lies in the last s steps, unless x[i] > x[i - s]."""
     u, x = ar1_simulate_draws(spec, n_steps, rng, innovation_beta)
     steps = np.arange(n_steps)
-    last_reset = np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))
-    return _running_max(x, since=steps - last_reset)
+    since = steps - np.maximum.accumulate(np.where(np.concatenate(([True], u < spec.p)), steps, 0))
+    step = 1
+    while step <= since.max():
+        take = (since[step:] >= step) & ~(x[step:] > x[:-step])
+        x[step:] = np.where(take, x[:-step], x[step:])
+        step *= 2
+    return x
 
 
 def reference_ar1_ensemble(spec, lag, rng, n, innovation_beta=None):

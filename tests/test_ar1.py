@@ -127,9 +127,7 @@ def test_segmented_running_max_breaks_ties_like_python_max():
     expected = []
     for value, head in zip(values.tolist(), heads.tolist()):
         expected.append(value if head else max(expected[-1], value))
-    steps = np.arange(values.size)
-    since = steps - np.maximum.accumulate(np.where(heads, steps, 0))
-    got = _running_max(values.copy(), since)
+    got = _running_max(values.copy(), ~heads)
     assert got.tobytes() == np.array(expected).tobytes()
 
 

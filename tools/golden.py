@@ -146,6 +146,17 @@ for exponent in (maxdiv.frechet(1.7), maxdiv.weibull(1.7)):
     for seed in range(300):
         sys.stdout.buffer.write(maxdiv.ar1_simulate(spec, 1, maxdiv.RandomSource(seed).generator()).tobytes())
 """,
+    # chains that cross three 2**16-step block seams: at p = 0.001 a stretch
+    # spans seams and the scan takes every pass of a block, where nearly
+    # every step ties with the one before; at p = 0.9 it stops after a few
+    "ar1_simulate chains of 200,003 steps at p = 0.001, 0.01 and 0.9, Weibull alpha 1.7 and Gumbel": """
+import sys
+import maxdiv
+for exponent in (maxdiv.weibull(1.7), maxdiv.gumbel()):
+    for p in (0.001, 0.01, 0.9):
+        chain = maxdiv.ar1_simulate(maxdiv.Ar1Spec(p, 0.5, exponent), 200003, maxdiv.RandomSource(7).generator())
+        sys.stdout.buffer.write(chain.tobytes())
+""",
     # the look-back G = max(1, ceil(E / -log1p(-p))) on both sides of
     # p = 1/3, below which numpy's own geometric draws the same counts, at
     # 0.7, and at 1e-300, where every G is ~1e300, past 2**63 and the lag
