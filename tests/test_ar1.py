@@ -1,7 +1,5 @@
 """Max-autoregressive recursion: stationarity, innovations, decrease rates."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from maxdiv import (
     frechet,
     geo_max_cdf,
     ggamma_mid,
+    gumbel,
     innovation_cdf_from_marginal,
     ks_one_sample,
     ks_two_sample,
@@ -22,8 +21,9 @@ from maxdiv import (
 from maxdiv.ar1 import _geometric
 from maxdiv.extremal import _running_max
 from maxdiv.ksstats import critical_two_sample
+from maxdiv.rng import uniform_open
 
-from oracles import ar1_step, lockstep_ar1_ensemble
+from oracles import ar1_by_steps, ar1_step, lockstep_ar1_ensemble, reference_sample_max
 
 E1 = frechet(1.0)
 
@@ -104,6 +104,19 @@ def test_step_semantics():
     assert ar1_step(1.0, 3.0, 0.9, 0.5) == 3.0  # max branch takes the innovation
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 5000])
+@pytest.mark.parametrize("innovation_beta", [None, 3.0])
+def test_simulate_is_byte_identical_to_the_step_loop(n_steps, innovation_beta):
+    # at p = 1e-9 the chain is one segment, so the running max takes every
+    # doubling pass up to the chain length
+    for exponent in (E1, weibull(2.0), gumbel()):
+        for p in (1e-9, 0.01, 0.5, 0.9):
+            spec = Ar1Spec(p, 1.5, exponent)
+            fast = ar1_simulate(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta=innovation_beta)
+            slow = ar1_by_steps(spec, n_steps, RandomSource(n_steps, 47).generator(), innovation_beta)
+            assert fast.tobytes() == slow.tobytes(), (exponent.family, p)
+
+
 def test_segmented_running_max_breaks_ties_like_python_max():
     # many ties and signed zeros: max(previous, new) keeps the earlier
     # of equal values, so the sign bit of a zero depends on the order
@@ -145,6 +158,36 @@ def test_ensemble_matches_the_lockstep_oracle(p, control):
         assert report.statistic < band, (lag, report.statistic, band)
 
 
+def test_ensemble_lag_zero_is_the_start():
+    spec = Ar1Spec(0.5, 1.0, E1)
+    start = reference_sample_max(spec.marginal_law(), RandomSource(1, 50).generator(), 10)
+    np.testing.assert_array_equal(ar1_ensemble(spec, 0, RandomSource(1, 50).generator(), 10), start)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Ar1Spec(0.3, 2.0, frechet(1.7)), Ar1Spec(0.3, 2.0, weibull(1.7)), Ar1Spec(0.3, 2.0, E1), Ar1Spec(0.3, 2.0, gumbel())],
+    ids=["frechet-1.7", "weibull-1.7", "frechet-1", "gumbel"],
+)
+def test_a_one_step_chain_is_the_lag_zero_ensemble_to_the_bit(spec):
+    # both samplers draw X_0 by one transform of one open uniform
+    for seed in range(300):
+        chain = ar1_simulate(spec, 1, RandomSource(seed).generator())
+        start = ar1_ensemble(spec, 0, RandomSource(seed).generator(), 1)
+        assert chain.tobytes() == start.tobytes(), seed
+
+
+def test_simulate_shape_and_determinism():
+    spec = Ar1Spec(0.5, 1.0, E1)
+    a = ar1_simulate(spec, 500, RandomSource(17, 40).generator())
+    b = ar1_simulate(spec, 500, RandomSource(17, 40).generator())
+    c = ar1_simulate(spec, 500, RandomSource(18, 40).generator())
+    assert a.shape == (500,)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.all(a > 0.0)
+
+
 def test_chain_decrease_rate_matches_closed_form():
     # long single chains; the closed form depends on both the marginal
     # being stationary and the innovations carrying shape p*beta
@@ -156,24 +199,40 @@ def test_chain_decrease_rate_matches_closed_form():
         assert abs(observed - rate) < 0.005, (p, observed, rate)
 
 
-@pytest.mark.parametrize(
-    "spec, lag, wrong, stream",
-    [
-        (Ar1Spec(0.5, 2.0, weibull(2.0)), 0, False, 43),
-        (Ar1Spec(0.5, 1.0, E1), 100, False, 44),
-        (Ar1Spec(0.5, 1.0, E1), 100, True, 45),
-        (Ar1Spec(0.01, 1.0, E1), 100, True, 51),
-        (Ar1Spec(0.9, 1.0, E1), 100, True, 51),
-    ],
-    ids=["lag-0", "lag-100", "wrong-0.5", "wrong-0.01", "wrong-0.9"],
-)
-def test_the_ensemble_is_stationary_only_with_p_beta_innovations(spec, lag, wrong, stream):
-    # X_lag follows the marginal law at lag 0 and at lag 100, and beta/p
-    # innovations (instead of p*beta) fail the same check at every p
-    beta = spec.marginal_beta / spec.p if wrong else None
-    draws = ar1_ensemble(spec, lag, RandomSource(21 if lag == 0 else 22, stream).generator(), 20_000, innovation_beta=beta)
+def test_ensemble_starts_at_the_stationary_marginal():
+    spec = Ar1Spec(0.5, 2.0, weibull(2.0))
+    draws = ar1_ensemble(spec, 0, RandomSource(21, 43).generator(), 20_000)
     report = ks_one_sample(draws, spec.marginal_law())
-    assert report.passed == (not wrong), report.statistic
+    assert report.passed, report.statistic
+
+
+def test_lag_100_marginal_is_still_stationary():
+    spec = Ar1Spec(0.5, 1.0, E1)
+    draws = ar1_ensemble(spec, 100, RandomSource(22, 44).generator(), 20_000)
+    report = ks_one_sample(draws, spec.marginal_law())
+    assert report.passed, report.statistic
+
+
+def test_wrong_innovation_shape_breaks_stationarity():
+    # beta/p innovations (instead of p*beta) must fail the same check
+    spec = Ar1Spec(0.5, 1.0, E1)
+    draws = ar1_ensemble(
+        spec, 100, RandomSource(22, 45).generator(), 20_000,
+        innovation_beta=spec.marginal_beta / spec.p,
+    )
+    report = ks_one_sample(draws, spec.marginal_law())
+    assert not report.passed, report.statistic
+
+
+@pytest.mark.parametrize("p", [0.01, 0.9])
+def test_wrong_innovation_shape_fails_at_other_reset_rates(p):
+    spec = Ar1Spec(p, 1.0, E1)
+    draws = ar1_ensemble(
+        spec, 100, RandomSource(22, 51).generator(), 20_000,
+        innovation_beta=spec.marginal_beta / spec.p,
+    )
+    report = ks_one_sample(draws, spec.marginal_law())
+    assert not report.passed, report.statistic
 
 
 def test_ensemble_validation():
@@ -225,13 +284,30 @@ def test_look_back_tail_frequencies_are_powers_of_one_minus_p(p):
             assert abs(np.mean(counts > g) - tail) <= 5 * np.sqrt(tail * (1 - tail) / n), g
 
 
+class _ZeroExponentials:
+    """A generator whose standard_exponential draws exact zeros; all else passes through."""
+
+    def __init__(self, seed):
+        self._rng = RandomSource(seed, 63).generator()
+
+    def standard_exponential(self, n):
+        return np.zeros(n)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 @pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.9])
 def test_an_exponential_variate_of_zero_looks_back_one_step(p):
     # ceil(0 / -log1p(-p)) is 0, which would draw the maximum of no
     # innovations, the bottom of the support; a count is at least 1, so
-    # the chain draws one innovation (test_bytes.py's zero-exponentials case)
-    zero_exponentials = SimpleNamespace(standard_exponential=np.zeros)
-    np.testing.assert_array_equal(_geometric(zero_exponentials, p, 5), np.ones(5))
+    # the chain draws one innovation
+    np.testing.assert_array_equal(_geometric(_ZeroExponentials(0), p, 5), np.ones(5))
+    spec = Ar1Spec(p, 0.5, frechet(1.7))
+    rng = RandomSource(0, 63).generator()
+    uniform_open(rng, 1000)  # X_0's uniforms
+    expected = reference_sample_max(ggamma_mid(spec.innovation_beta, spec.exponent), rng, 1000)
+    assert ar1_ensemble(spec, 100, _ZeroExponentials(0), 1000).tobytes() == expected.tobytes()
 
 
 def test_a_look_back_past_the_lag_joins_x0_at_every_lag_it_passes():

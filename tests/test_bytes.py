@@ -1,14 +1,14 @@
-"""Each sampler against its whole-array reference in oracles.py, bit for bit.
+"""Each sampler against its whole-array reference in oracles.py, bit for bit,
+across its blocks.
 
-One test per sampler, parametrised over the union of its cases: sizes on
-both sides of the block seams (_BLOCK draws, and _COUNT_BLOCK look-back
-counts), exact-zero uniforms at a seam, every kind x family at alphas 1
-and 1.7, and each sampler's edge parameters.  The sampler and its
-reference draw from twin generators, which must have read the same
-variates when both are done.
+One test per sampler, parametrised over sizes on both sides of the block
+seams (_BLOCK draws, and _COUNT_BLOCK look-back counts) and exact-zero
+uniforms at a seam; the routes also over every kind x family at alphas
+1 and 1.7.  The sampler and its reference draw from twin generators,
+which must have read the same variates when both are done.  Each
+sampler's other byte cases (step loops, edge parameters, long paths)
+are in test_ar1.py, test_extremal.py and test_buffers.py.
 """
-
-from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from maxdiv import (
     base_law,
     compound_simulate,
     ep_simulate_ensemble,
-    ep_simulate_path,
     frechet,
     g_mid,
     gamma_mid,
@@ -36,7 +35,7 @@ from maxdiv import (
 from maxdiv.ar1 import _COUNT_BLOCK
 from maxdiv.laws import _BLOCK, _sample_max
 
-from oracles import ar1_by_steps, bits, every_law, reference_ar1_ensemble, reference_ar1_simulate, reference_ep_ensemble, reference_mixing, reference_sample_max
+from oracles import bits, every_law, reference_ar1_ensemble, reference_ar1_simulate, reference_ep_ensemble, reference_mixing, reference_sample_max
 
 # the first block alone, one short of a block, one block, one over, and
 # three blocks with a last block of one draw
@@ -49,16 +48,13 @@ LAWS = [ggamma_mid(0.5, F17), gamma_mid(2.0, weibull(1.7)), g_mid(gumbel())]
 
 class Stub:
     """A Generator whose random() gives an exact 0.0 at the given indices,
-    counted over every uniform it has drawn, and whose exponentials are
-    all 0.0 if asked; all else passes through."""
+    counted over every uniform it has drawn; all else passes through."""
 
-    def __init__(self, seed, zero_at=(), zero_exponentials=False):
+    def __init__(self, seed, zero_at=()):
         self._rng = RandomSource(seed, 4).generator()
         self._zero_at = np.array(sorted(zero_at), dtype=int)
         self.drawn = 0
         self.zeros = 0
-        if zero_exponentials:
-            self.standard_exponential = np.zeros
 
     def random(self, size=None, out=None):
         u = self._rng.random(size, out=out)
@@ -72,8 +68,8 @@ class Stub:
         return getattr(self._rng, name)
 
 
-def twins(seed, zero_at=(), zero_exponentials=False):
-    return Stub(seed, zero_at, zero_exponentials), Stub(seed, zero_at, zero_exponentials)
+def twins(seed, zero_at=()):
+    return Stub(seed, zero_at), Stub(seed, zero_at)
 
 
 def assert_twins(got, expected, new, old, zero_at=(), drawn=None):
@@ -135,134 +131,62 @@ def test_latent_route(laws, n, zero_at):
 
 # -- extremal paths ------------------------------------------------------------
 
-# grids of (times, paths) whose row blocks fall on both sides of the samplers' blocks
-BLOCK_GRIDS = [
-    ([1.7], 4),
-    (np.linspace(0.1, 3.0, 10), 2**16),  # one grid point per block
-    (np.linspace(0.5, 3.0, 1000), 300),  # several blocks and a partial one
-    ([1e-300, 1.0, 1e300], 3),  # extreme steps
-    ([0.5, 1.0, 2.0], 2**16 + 3),  # one grid row per block, its draws over two of the samplers' blocks
-]
-# a first interval of 1e-300 takes the quantile transform to the edge of
-# float range; one path draws into its own interval lengths, over two blocks
-EDGE_GRIDS = [(np.cumsum([1e-300, 0.5, 3.0, 0.25]), 1000), (np.linspace(0.5, 3.0, 2**16 + 5), 1)]
 # a block of whole grid rows of 300 paths: 218 rows, 65,400 variates
 ROW_SEAM = _BLOCK // 300 * 300
-
-
-def shaped_laws(e):
-    """Each kind of exponent e, at shapes 0.5 and 2 where it has one."""
-    return [base_law(e), g_mid(e), gamma_mid(0.5, e), gamma_mid(2.0, e), ggamma_mid(0.5, e), ggamma_mid(2.0, e)]
-
-
 PATH_CASES = [
-    *(pytest.param(every_law(alpha), EDGE_GRIDS, (), id=f"every-law-{alpha}") for alpha in (1.0, 1.7)),
-    *(
-        pytest.param([law], BLOCK_GRIDS, (), id=f"{law.kind.value}-{law.exponent.family.value}-{law.beta}")
-        for e in (frechet(1.5), weibull(1.5), gumbel())
-        for law in shaped_laws(e)
-    ),
-    # 20,000 points in one block
-    pytest.param([ggamma_mid(0.5, frechet(1.5)), gamma_mid(2.0, weibull(1.5)), g_mid(gumbel())], [(np.linspace(0.5, 100.0, 20_000), 1)], (), id="long-paths"),
-    # a 1e300 step sends every Weibull increment to -0.0, which the running
-    # maximum keeps as np.maximum.accumulate does
-    pytest.param([base_law(weibull(0.5))], [([1e-300, 1.0, 1e300, 2e300], 50)], (), id="weibull-negative-zeros"),
     # zeros on both sides of the first two row-block seams
-    pytest.param([ggamma_mid(0.5, F17)], [(np.linspace(0.5, 3.0, 1000), 300)], (3, ROW_SEAM - 1, ROW_SEAM, 2 * ROW_SEAM - 1, 2 * ROW_SEAM), id="zeros-at-row-blocks"),
+    pytest.param(np.linspace(0.5, 3.0, 1000), 300, (3, ROW_SEAM - 1, ROW_SEAM, 2 * ROW_SEAM - 1, 2 * ROW_SEAM), id="zeros-at-row-blocks"),
     # one grid row per block over two of _sample_max's blocks: zeros at its
     # seam and at the first row-block seam
-    pytest.param([ggamma_mid(0.5, F17)], [([0.5, 1.0, 2.0], _BLOCK + 3)], (_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 3), id="zeros-at-rows-over-a-block"),
+    pytest.param(np.array([0.5, 1.0, 2.0]), _BLOCK + 3, (_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 3), id="zeros-at-rows-over-a-block"),
 ]
 
 
-@pytest.mark.parametrize("laws, grids, zero_at", PATH_CASES)
-def test_ep_simulate_ensemble(laws, grids, zero_at):
-    """Paths on each grid, and one path also by ep_simulate_path."""
-    for i, law in enumerate(laws):
-        spec = ExtremalSpec(law)
-        for times, n in grids:
-            times = np.asarray(times, dtype=float)
-            new, old = twins(i, zero_at)
-            got = ep_simulate_ensemble(spec, times, new, n)
-            assert got.flags.c_contiguous
-            assert_twins(got, reference_ep_ensemble(spec, times, old, n), new, old, zero_at, n * times.size)
-            if n == 1:
-                np.testing.assert_array_equal(bits(ep_simulate_path(spec, times, RandomSource(i, 4).generator()).values), bits(got[0]))
+@pytest.mark.parametrize("times, n, zero_at", PATH_CASES)
+def test_ep_simulate_ensemble(times, n, zero_at):
+    spec = ExtremalSpec(ggamma_mid(0.5, F17))
+    new, old = twins(0, zero_at)
+    got = ep_simulate_ensemble(spec, times, new, n)
+    assert got.flags.c_contiguous
+    assert_twins(got, reference_ep_ensemble(spec, times, old, n), new, old, zero_at, n * times.size)
 
 
 # -- the max-AR(1) chain ---------------------------------------------------------
 
 
-class Chains(NamedTuple):
-    specs: list
-    sizes: list
-    seeds: range = range(1)
-    innovation_beta: float | None = None
-    oracle: Callable = reference_ar1_simulate
-    zero_at: tuple = ()
-
-
 # at p = 1e-9 one stretch spans every block, so the value carried into each
 # block decides the whole block
 SEAM_SPECS = [Ar1Spec(1e-9, 1.5, F17), Ar1Spec(0.01, 0.5, weibull(1.7)), Ar1Spec(0.5, 2.0, gumbel())]
-LOOP_SPECS = [Ar1Spec(p, 1.5, e) for e in (frechet(1.0), weibull(2.0), gumbel()) for p in (1e-9, 0.01, 0.5, 0.9)]
-ONE_STEP_SPECS = [Ar1Spec(0.3, 2.0, e) for e in (F17, weibull(1.7), frechet(1.0), gumbel())]
 CHAIN_CASES = {
     # n - 1 reset uniforms and innovations fill the blocks as the sizes say,
     # and n + 1 puts X_0 and one block's worth of steps in the first block
-    **{str(n): Chains(SEAM_SPECS, [n, n + 1]) for n in SIZES},
+    **{str(n): ([n, n + 1], ()) for n in SIZES},
     # zeros among the reset uniforms (a zero is a reset) on both sides of a
     # seam, and among X_0 and the innovations, each read as 2**-54
-    "zero-uniforms": Chains(SEAM_SPECS, [2 * _BLOCK + 3], zero_at=(0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 2, 2 * _BLOCK + 8, 3 * _BLOCK + 4)),
-    # the recursion as written, one ar1_step at a time
-    **{f"step-loop-{n}-{beta}": Chains(LOOP_SPECS, [n], innovation_beta=beta, oracle=ar1_by_steps) for n in (1, 2, 5000) for beta in (None, 3.0)},
-    # X_0 alone, by one transform of one open uniform, as ar1_ensemble draws it at lag 0
-    "one-step": Chains(ONE_STEP_SPECS, [1], seeds=range(300)),
+    "zero-uniforms": ([2 * _BLOCK + 3], (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 2, 2 * _BLOCK + 8, 3 * _BLOCK + 4)),
 }
 
 
-@pytest.mark.parametrize("case", CHAIN_CASES.values(), ids=CHAIN_CASES)
-def test_ar1_simulate(case):
-    for i, spec in enumerate(case.specs):
-        for n in case.sizes:
-            for seed in case.seeds:
-                new, old = twins(seed + i, case.zero_at)
-                got = ar1_simulate(spec, n, new, innovation_beta=case.innovation_beta)
-                # reset uniforms, X_0's and the innovations' uniforms: 2n - 1
-                assert_twins(got, case.oracle(spec, n, old, case.innovation_beta), new, old, case.zero_at, 2 * n - 1)
+@pytest.mark.parametrize("sizes, zero_at", CHAIN_CASES.values(), ids=CHAIN_CASES)
+def test_ar1_simulate(sizes, zero_at):
+    for i, spec in enumerate(SEAM_SPECS):
+        for n in sizes:
+            new, old = twins(i, zero_at)
+            got = ar1_simulate(spec, n, new)
+            # reset uniforms, X_0's and the innovations' uniforms: 2n - 1
+            assert_twins(got, reference_ar1_simulate(spec, n, old), new, old, zero_at, 2 * n - 1)
 
 
 # -- the max-AR(1) ensemble ------------------------------------------------------
 
 # the look-back counts at p = 0.01 and lag 100 pass the lag in ~37% of the
-# chains, which then join X_0, at p = 0.05 and lag 30 in ~21%, at p = 0.3
-# and lag >= 30 in ~2e-5 of them, and at p = 0.5 in none
-SEAM_ENSEMBLES = [(Ar1Spec(0.01, 0.5, F17), 100, None), (Ar1Spec(0.5, 0.5, F17), 100, None), (Ar1Spec(0.3, 0.5, F17), 1, None)]
-ENSEMBLE_CASES = {
-    **{str(n): (SEAM_ENSEMBLES, n, False) for n in SIZES + COUNT_SIZES},
-    **{
-        f"alpha-{alpha}": ([(Ar1Spec(0.3, 0.5, frechet(alpha)), lag, beta) for lag, beta in ((0, None), (30, None), (100, None), (100, 4.0))], 4000, False)
-        for alpha in (1.0, 1.7)
-    },
-    # X_0's draws and their join over two of the look-back counts' blocks and part of a third
-    **{
-        f"joins-{p}-{lag}": ([(Ar1Spec(p, 0.5, e), lag, beta) for e in (F17, weibull(1.7), gumbel()) for beta in (None, 4.0)], 2 * _COUNT_BLOCK + 1000, False)
-        for p, lag in ((0.01, 100), (0.05, 30))
-    },
-    # at p = 1e-300 every count is ~1e300, past 2**63, where a cast to int64
-    # would wrap, and past every lag but 10**400, which is past float range
-    "past-int64": ([(Ar1Spec(1e-300, 1.5, F17), lag, None) for lag in (100, 2**63 - 1, 2**70, 10**400)], 1000, False),
-    "lag-0-of-ten": ([(Ar1Spec(0.5, 1.0, frechet(1.0)), 0, None)], 10, False),
-    # an exponential variate of 0 looks back one step: one innovation, not the
-    # maximum of none, the bottom of the support
-    "zero-exponentials": ([(Ar1Spec(p, 0.5, F17), 100, None) for p in (0.01, 0.2, 0.5, 0.9)], 1000, True),
-}
+# chains, which then join X_0, at p = 0.3 and lag 1 in 30%, and at p = 0.5
+# and lag 100 in none
+SEAM_ENSEMBLES = [(Ar1Spec(0.01, 0.5, F17), 100), (Ar1Spec(0.5, 0.5, F17), 100), (Ar1Spec(0.3, 0.5, F17), 1)]
 
 
-@pytest.mark.parametrize("cases, n, zero_exponentials", ENSEMBLE_CASES.values(), ids=ENSEMBLE_CASES)
-def test_ar1_ensemble(cases, n, zero_exponentials):
-    for i, (spec, lag, beta) in enumerate(cases):
-        new, old = twins(i, zero_exponentials=zero_exponentials)
-        got = ar1_ensemble(spec, lag, new, n, innovation_beta=beta)
-        assert not np.isnan(got).any()
-        assert_twins(got, reference_ar1_ensemble(spec, lag, old, n, beta), new, old)
+@pytest.mark.parametrize("n", SIZES + COUNT_SIZES)
+def test_ar1_ensemble(n):
+    for i, (spec, lag) in enumerate(SEAM_ENSEMBLES):
+        new, old = twins(i)
+        assert_twins(ar1_ensemble(spec, lag, new, n), reference_ar1_ensemble(spec, lag, old, n), new, old)

@@ -1,11 +1,13 @@
 """Extremal processes: marginals, paths, subordination, compound identities."""
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from maxdiv import (
+    Exponent,
     ExtremalSpec,
     RandomSource,
     SubKind,
@@ -22,6 +24,7 @@ from maxdiv import (
     ggamma_mid,
     gumbel,
     ks_one_sample,
+    ks_two_sample,
     n_max_cdf,
     quantile_grid,
     subordinator_marginal,
@@ -30,12 +33,26 @@ from maxdiv import (
 from maxdiv.extremal import PathGrid
 from maxdiv.laws import _quantile_w
 
+from oracles import reference_ep_ensemble, reference_sample_max
+
 E1 = frechet(1.0)
 
 # closed-form constants, frozen from a 50-digit computation
 INV_1_PLUS_LN2 = 0.59061610914964125  # 1/(1 + ln 2)
 # 3-sigma band on the mean of a gamma(3, 1) sample of size 10^4
 BAND_MEAN_GAMMA_3_N1E4 = 0.017  # pinned working band; exact 3 sigma is 0.01643...
+
+MAKERS = {
+    "base": lambda beta, e: base_law(e),
+    "g-mid": lambda beta, e: g_mid(e),
+    "gamma-mid": gamma_mid,
+    "ggamma-mid": ggamma_mid,
+}
+LAW_CASES = list(itertools.product(MAKERS, ("frechet", "weibull", "gumbel"), (0.5, 2.0)))
+
+
+def _spec(kind, family, beta):
+    return ExtremalSpec(MAKERS[kind](beta, Exponent(family, 1.5)))
 
 
 def test_marginal_cdf_is_the_t_power():
@@ -120,6 +137,15 @@ def test_ensemble_marginal_matches_power_law():
     for j, t in enumerate(times):
         report = ks_one_sample(ensemble[:, j], lambda x, t=t: ep_marginal_cdf(spec, t, x))
         assert report.passed, (t, report.statistic)
+
+
+def test_one_point_ensemble_matches_direct_increment_law():
+    # Y(t) for a single time equals the max-increment over [0, t]
+    spec = ExtremalSpec(g_mid(E1))
+    a = ep_simulate_ensemble(spec, [3.0], RandomSource(8, 24).generator(), 20_000)[:, 0]
+    b = reference_sample_max(spec.base, RandomSource(9, 24).generator(), 20_000, 3.0)
+    report = ks_two_sample(a, b)
+    assert report.passed, report.statistic
 
 
 def test_gamma_subordinator_mean_grows_linearly():
@@ -234,6 +260,43 @@ def test_extremal_marginal_at_n_is_the_n_max_df_bit_for_bit(exponent):
             _same_bits(lambda x: ep_marginal_cdf(spec, n, x), lambda x: n_max_cdf(base, n, x), quantile_grid(base))
 
 
+# Grids whose row blocks fall on both sides of the samplers' blocks; an
+# exact 0.0 uniform at a seam is tested in tests/test_bytes.py.
+BLOCK_GRIDS = {
+    "one-point": ([1.7], 4),
+    "one-grid-point-per-block": (np.linspace(0.1, 3.0, 10), 2**16),
+    "several-blocks-and-a-partial-one": (np.linspace(0.5, 3.0, 1000), 300),
+    "extreme-steps": ([1e-300, 1.0, 1e300], 3),
+    # one grid row per block, whose draws span two of the samplers' blocks
+    "more-paths-than-one-block": ([0.5, 1.0, 2.0], 2**16 + 3),
+}
+
+
+def _assert_same_array(got, want):
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,family,beta", LAW_CASES)
+def test_ensemble_is_byte_identical_to_the_step_loop(kind, family, beta):
+    spec = _spec(kind, family, beta)
+    for i, (times, n) in enumerate(BLOCK_GRIDS.values()):
+        got = ep_simulate_ensemble(spec, times, RandomSource(40, i).generator(), n)
+        _assert_same_array(got, reference_ep_ensemble(spec, times, RandomSource(40, i).generator(), n))
+
+
+@pytest.mark.parametrize("kind,family,beta", [("ggamma-mid", "frechet", 0.5), ("gamma-mid", "weibull", 2.0), ("g-mid", "gumbel", 2.0)])
+def test_long_path_is_byte_identical_to_the_step_loop(kind, family, beta):
+    # 20,000 points in one block
+    spec = _spec(kind, family, beta)
+    times = np.linspace(0.5, 100.0, 20_000)
+    got = ep_simulate_ensemble(spec, times, RandomSource(41).generator(), 1)
+    _assert_same_array(got, reference_ep_ensemble(spec, times, RandomSource(41).generator(), 1))
+    path = ep_simulate_path(spec, times, RandomSource(41).generator())
+    assert path.values.tobytes() == got[0].tobytes()
+
+
 def test_long_path_does_not_step_grid_point_by_grid_point():
     # 10^6 points take well under a second in blocks; a per-point loop
     # takes tens of seconds
@@ -244,3 +307,13 @@ def test_long_path_does_not_step_grid_point_by_grid_point():
     assert time.perf_counter() - start < 2.0
     assert path.values.shape == times.shape
     assert np.all(np.diff(path.values) >= 0.0)
+
+
+def test_weibull_extreme_steps_keep_negative_zeros_byte_identical():
+    # a 1e300 step sends every Weibull increment to -0.0; the running
+    # maximum must keep them exactly as np.maximum.accumulate does
+    spec = ExtremalSpec(base_law(weibull(0.5)))
+    times = [1e-300, 1.0, 1e300, 2e300]
+    got = ep_simulate_ensemble(spec, times, RandomSource(43).generator(), 50)
+    assert np.all(np.signbit(got[:, 2:]))
+    _assert_same_array(got, reference_ep_ensemble(spec, times, RandomSource(43).generator(), 50))

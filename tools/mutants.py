@@ -90,7 +90,7 @@ MUTANTS = (
         "np.maximum(out[:, j - 1], block[0], out=block[0])",
         "block[0]",
         (
-            "tests/test_bytes.py::test_ep_simulate_ensemble[every-law-1.0]",
+            "tests/test_buffers.py::test_ep_simulate_ensemble_equals_the_out_of_place_reference[1.0]",
             "tests/test_bytes.py::test_ep_simulate_ensemble[zeros-at-row-blocks]",
             "tests/test_dependence.py::test_extremal_path_pairs_follow_the_joint_law",
         ),
@@ -112,7 +112,7 @@ MUTANTS = (
         "joins.append((0, no_reset, block[no_reset]))",
         (
             "tests/test_bytes.py::test_ar1_ensemble[24577]",
-            "tests/test_bytes.py::test_ar1_ensemble[joins-0.01-100]",
+            "tests/test_buffers.py::test_ar1_ensemble_joins_x0_where_no_reset_happened[None-None-frechet-0.01-100]",
         ),
     ),
     Mutant(
@@ -122,7 +122,7 @@ MUTANTS = (
         "        np.minimum(back, lag, out=block)\n        if no_reset.size:\n            joins.append((i, no_reset, block[no_reset]))",
         (
             "tests/test_bytes.py::test_ar1_ensemble[1]",
-            "tests/test_bytes.py::test_ar1_ensemble[joins-0.05-30]",
+            "tests/test_buffers.py::test_ar1_ensemble_joins_x0_where_no_reset_happened[None-None-frechet-0.05-30]",
         ),
     ),
     # -- the four family faults ----------------------------------------------
@@ -203,7 +203,7 @@ MUTANTS = (
         "lag = float(min(lag, sys.float_info.max))",
         "lag = float(min(lag, 2**63))",
         (
-            "tests/test_bytes.py::test_ar1_ensemble[past-int64]",
+            "tests/test_buffers.py::test_ar1_ensemble_past_the_int64_range_equals_the_out_of_place_reference[10**400]",
             "tests/test_ar1.py::test_a_look_back_past_the_lag_joins_x0_at_every_lag_it_passes",
         ),
     ),
@@ -213,7 +213,7 @@ MUTANTS = (
         "lambda s, a: np.negative(_power(s, 1.0 / a), out=s)",
         "lambda s, a: np.subtract(0.0, _power(s, 1.0 / a), out=s)",
         (
-            "tests/test_bytes.py::test_ep_simulate_ensemble[weibull-negative-zeros]",
+            "tests/test_extremal.py::test_weibull_extreme_steps_keep_negative_zeros_byte_identical",
         ),
     ),
     Mutant(
